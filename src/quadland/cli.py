@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -44,10 +43,8 @@ from .initialization import (
 from .io import write_jsonl, write_json, write_manifest, write_matrix
 from .landscape import (
     certify_stationary_global,
-    energy_barrier,
-    sample_rank_deficient,
+    rank_deficient_sweep,
     worst_rank_deficient,
-    SWEEP_SUBSTREAM_BASE,
 )
 from .model import (
     StudentWeights,
@@ -113,7 +110,7 @@ def _choice(*allowed: str) -> Callable[[str], str]:
 _COMMON = [
     _Opt("seed", _seed, 0, "base RNG seed (QUADLAND_SEED env var as fallback)"),
     _Opt("out", str, ".", "output directory"),
-    _Opt("jobs", _count, 1, "parallel workers for trial sweeps"),
+    _Opt("jobs", _count, 1, "accepted for compatibility and ignored; trials run serially"),
 ]
 
 _OPTIONS: dict[str, list[_Opt]] = {
@@ -223,14 +220,6 @@ def _resolve(ns: argparse.Namespace, options: list[_Opt]) -> dict[str, Any]:
     return resolved
 
 
-def _map_trials(worker: Callable[[int], Any], n: int, jobs: int) -> list:
-    """Run trials 0..n-1, in order regardless of completion order."""
-    if jobs <= 1 or n <= 1:
-        return [worker(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, range(n)))
-
-
 def _out_dir(cfg: dict[str, Any]) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -294,13 +283,10 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
     write_matrix(out / "final_weights.csv", trajectory.final_weights.weights)
     write_matrix(out / "teacher_weights.csv", teacher.weights)
     final = trajectory.final_record
-    gap = float(
-        np.linalg.norm(gram(trajectory.final_weights) - gram(teacher))
-    )
     return {
         "final_risk": final.risk,
         "final_grad_norm": final.grad_norm,
-        "gram_gap": gap,
+        "gram_gap": certificate.gram_gap,
         "iterations": trajectory.iterations,
         "termination": trajectory.termination,
         "init_below_barrier": init_report.below,
@@ -313,29 +299,17 @@ def _cmd_barrier_scan(cfg: dict[str, Any]) -> dict[str, Any]:
     _require_width(m, d)
     moments = moments_of(parse_distribution(cfg["dist"]))
     teacher = sample_teacher(parse_distribution(cfg["teacher_dist"]), m, d, cfg["seed"])
-    barrier = energy_barrier(teacher, moments, "population")
-
-    def worker(trial: int) -> float:
-        gen = _rng.stream(cfg["seed"], SWEEP_SUBSTREAM_BASE + trial)
-        student = sample_rank_deficient(teacher, gen)
-        return population_risk_of(student, teacher, moments).value
-
-    risks = _map_trials(worker, cfg["trials"], cfg["jobs"])
-    min_risk = float(min(risks))
+    sweep = rank_deficient_sweep(teacher, moments, cfg["trials"], cfg["seed"])
     tight = population_risk_of(worst_rank_deficient(teacher), teacher, moments).value
 
     out = _out_dir(cfg)
     write_jsonl(
         out / "results.jsonl",
-        [{"trial": t, "risk": r} for t, r in enumerate(risks)],
+        [{"trial": t, "risk": r} for t, r in enumerate(sweep.risks)],
     )
-    if min_risk < barrier - 1e-9:
-        raise ContractViolation(
-            f"rank-deficient student with risk {min_risk:.6e} below barrier {barrier:.6e}"
-        )
     return {
-        "barrier": barrier,
-        "min_risk_found": min_risk,
+        "barrier": sweep.barrier,
+        "min_risk_found": sweep.min_risk_found,
         "tightness_risk": tight,
         "trials": cfg["trials"],
     }
@@ -348,17 +322,12 @@ def _cmd_init_check(cfg: dict[str, Any]) -> dict[str, Any]:
     teacher_dist = parse_distribution(cfg["teacher_dist"])
     init = identity_init(m, d, cfg["init_scale"])
 
-    def worker(i: int) -> dict[str, Any]:
-        teacher = sample_teacher(teacher_dist, m, d, cfg["seed"] + i)
+    rows = []
+    for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
+        teacher = sample_teacher(teacher_dist, m, d, seed)
         report = check_init_below_barrier(init, teacher, moments)
-        return {
-            "seed": cfg["seed"] + i,
-            "risk": report.risk_value,
-            "barrier": report.barrier_value,
-            "below": report.below,
-        }
-
-    rows = _map_trials(worker, cfg["seeds"], cfg["jobs"])
+        rows.append({"seed": seed, "risk": report.risk_value,
+                     "barrier": report.barrier_value, "below": report.below})
     out = _out_dir(cfg)
     write_jsonl(out / "results.jsonl", rows)
     below = sum(1 for r in rows if r["below"])
@@ -394,17 +363,13 @@ def _cmd_sample_complexity(cfg: dict[str, Any]) -> dict[str, Any]:
     dist = parse_distribution(cfg["dist"])
     counts = [n_star - 1, n_star] if n_star > 1 else [n_star]
 
-    def worker(trial: int) -> list[dict[str, Any]]:
-        rows = []
+    rows = []
+    for trial in range(cfg["trials"]):
         for n in counts:
             report = spans_symmetric(sample_dataset(dist, n, d, cfg["seed"] + trial))
             rows.append(
                 {"trial": trial, "n": n, "spans": report.spans, "rank": report.rank}
             )
-        return rows
-
-    nested = _map_trials(worker, cfg["trials"], cfg["jobs"])
-    rows = [row for group in nested for row in group]
     out = _out_dir(cfg)
     write_jsonl(out / "results.jsonl", rows)
     fractions = {
@@ -452,14 +417,11 @@ def _cmd_spectrum(cfg: dict[str, Any]) -> dict[str, Any]:
     lo = SEMICIRCLE_SECOND_MOMENT * (1.0 - _MOMENT_BAND_REL)
     hi = SEMICIRCLE_SECOND_MOMENT * (1.0 + _MOMENT_BAND_REL)
 
-    def worker(i: int) -> dict[str, Any]:
-        teacher = sample_teacher(teacher_dist, m, d, cfg["seed"] + i)
-        report = wishart_spectrum_report(teacher)
-        row = report.to_json()
-        row["seed"] = cfg["seed"] + i
-        return row
-
-    rows = _map_trials(worker, cfg["seeds"], cfg["jobs"])
+    rows = []
+    for seed in range(cfg["seed"], cfg["seed"] + cfg["seeds"]):
+        row = wishart_spectrum_report(sample_teacher(teacher_dist, m, d, seed)).to_json()
+        row["seed"] = seed
+        rows.append(row)
     out = _out_dir(cfg)
     write_jsonl(out / "results.jsonl", rows)
     inside = sum(1 for r in rows if r["inside_band"])

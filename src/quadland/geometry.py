@@ -19,8 +19,9 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ContractViolation, InvalidArgument
-from .landscape import embed_gram
+from .landscape import _require_full_rank_teacher, embed_gram
 from .model import (
+    RANK_RTOL,
     Moments,
     StudentWeights,
     TeacherModel,
@@ -29,8 +30,6 @@ from .model import (
     gram,
 )
 from .risk import population_risk
-
-RANK_RTOL = 1e-10
 
 # First eight primes; the construction guard keeps d within this table.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
@@ -257,12 +256,9 @@ def null_interpolator(
     inequality keeps that matrix PSD. Residuals vanish on the sample while
     the population risk stays at least c_lower * sigma_min^4.
     """
+    sigma_min_sq = _require_full_rank_teacher(teacher) ** 2
     absorbed = absorb_output_weights(teacher)
     g_star = gram(absorbed)
-    lam_min = float(np.linalg.eigvalsh(g_star)[0])
-    sigma_min_sq = lam_min
-    if sigma_min_sq <= 0:
-        raise InvalidArgument("teacher weights are rank-deficient")
     if delta is None:
         delta = sigma_min_sq
     if not 0 < delta <= sigma_min_sq + 1e-12:

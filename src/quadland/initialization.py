@@ -26,8 +26,8 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _rank_of,
     gram,
-    numerical_rank,
 )
 from .risk import empirical_risk, population_risk_of
 
@@ -71,7 +71,7 @@ def sample_teacher(
     gen = _rng.stream(seed, TEACHER_SUBSTREAM)
     weights = distribution.sample(gen, (m, d))
     teacher = TeacherModel(weights)
-    rank = numerical_rank(weights)
+    rank = _rank_of(teacher.singular_values)
     if rank < d:
         logger.warning("sampled teacher is rank-deficient: rank %d < d=%d", rank, d)
     return teacher

@@ -21,9 +21,11 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _rank_of,
+    _symmetric,
     absorb_output_weights,
     gram,
-    rank_tolerance,
+    is_full_rank,
 )
 from .risk import population_gradient, population_risk_of
 
@@ -56,19 +58,13 @@ class BarrierReport:
         }
 
 
-def teacher_sigma_min(teacher: TeacherModel) -> float:
-    """Smallest singular value of the absorbed teacher weights."""
-    w = absorb_output_weights(teacher).weights
-    s = np.linalg.svd(w, compute_uv=False)
-    return float(s[-1])
-
-
 def _require_full_rank_teacher(teacher: TeacherModel) -> float:
-    w = absorb_output_weights(teacher).weights
-    if w.shape[0] < w.shape[1]:
+    """Smallest singular value of the absorbed teacher weights, which must
+    have full column rank."""
+    if teacher.m < teacher.d:
         raise InvalidArgument("teacher weights are rank-deficient (m < d)")
-    s = np.linalg.svd(w, compute_uv=False)
-    if s[-1] <= rank_tolerance(float(s[0])):
+    s = teacher.singular_values
+    if _rank_of(s) < teacher.d:
         raise InvalidArgument("teacher weights are rank-deficient")
     return float(s[-1])
 
@@ -114,7 +110,7 @@ def barrier_report(
         below=bool(risk_value < barrier),
         constant_used=constant,
         mode=mode,
-        sigma_min_teacher=teacher_sigma_min(teacher),
+        sigma_min_teacher=float(teacher.singular_values[-1]),
     )
 
 
@@ -149,16 +145,11 @@ def embed_gram(gram_matrix: np.ndarray, target_rows: int) -> StudentWeights:
     Uses the symmetric square root in the top d x d block and zero rows
     below; eigenvalues in [-PSD_CLAMP, 0) are clamped to zero.
     """
-    g = np.atleast_2d(np.asarray(gram_matrix, dtype=float))
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise InvalidArgument("gram must be square")
-    scale = max(1.0, float(np.abs(g).max(initial=0.0)))
-    if float(np.abs(g - g.T).max(initial=0.0)) > 1e-12 * scale:
-        raise InvalidArgument("gram must be symmetric")
+    g = _symmetric(gram_matrix, "gram")
     d = g.shape[0]
     if target_rows < d:
         raise InvalidArgument(f"need at least {d} rows to factor a {d}x{d} gram")
-    lam, Q = np.linalg.eigh(0.5 * (g + g.T))
+    lam, Q = np.linalg.eigh(g)
     if lam[0] < -PSD_CLAMP:
         raise InvalidArgument(f"gram is indefinite: smallest eigenvalue {lam[0]:.3e}")
     root = np.sqrt(np.clip(lam, 0.0, None))
@@ -199,8 +190,7 @@ def certify_stationary_global(
     with risk at or above the barrier is protected by it; anything else
     is inconclusive.
     """
-    s = np.linalg.svd(student.weights, compute_uv=False)
-    full_rank = student.m >= student.d and s[-1] > rank_tolerance(float(s[0]))
+    full_rank = student.m >= student.d and is_full_rank(student.weights)
     grad_norm = float(np.linalg.norm(population_gradient(student, teacher, moments)))
     gram_gap = float(np.linalg.norm(gram(student) - gram(teacher)))
     if full_rank and grad_norm <= grad_tol:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,11 +35,15 @@ def rank_tolerance(sigma_max: float) -> float:
     return RANK_RTOL * max(1.0, sigma_max)
 
 
-def numerical_rank(matrix: np.ndarray) -> int:
-    s = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+def _rank_of(s: np.ndarray) -> int:
+    """Numerical rank from singular values sorted in descending order."""
     if s.size == 0:
         return 0
     return int(np.count_nonzero(s > rank_tolerance(float(s[0]))))
+
+
+def numerical_rank(matrix: np.ndarray) -> int:
+    return _rank_of(np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False))
 
 
 def is_full_rank(matrix: np.ndarray) -> bool:
@@ -51,6 +56,17 @@ def _frozen_array(obj, values, name):
     arr.setflags(write=False)
     object.__setattr__(obj, name, arr)
     return arr
+
+
+def _symmetric(values, noun: str) -> np.ndarray:
+    """Square matrix symmetric to 1e-12 relative, returned exactly symmetrized."""
+    a = np.atleast_2d(np.asarray(values, dtype=float))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise InvalidArgument(f"{noun} must be square")
+    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
+    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
+        raise InvalidArgument(f"{noun} must be symmetric to 1e-12 relative")
+    return 0.5 * (a + a.T)
 
 
 def _format_param(x: float) -> str:
@@ -196,6 +212,13 @@ Distribution = Gaussian | Uniform | Rademacher | Custom
 _TAG_RE = re.compile(r"^(?P<name>[a-z_]+)(?:\((?P<arg>[^)]*)\))?$")
 
 
+def _tag_param(arg: str, tag: str) -> float:
+    try:
+        return float(arg)
+    except ValueError:
+        raise InvalidArgument(f"non-numeric parameter in distribution tag: {tag!r}") from None
+
+
 def parse_distribution(tag: str) -> Distribution:
     """Parse tags like 'gaussian(1)', 'uniform(1.5)', 'rademacher'."""
     m = _TAG_RE.match(tag.strip())
@@ -203,11 +226,11 @@ def parse_distribution(tag: str) -> Distribution:
         raise InvalidArgument(f"unparseable distribution tag: {tag!r}")
     name, arg = m.group("name"), m.group("arg")
     if name == "gaussian":
-        return Gaussian(float(arg) if arg else 1.0)
+        return Gaussian(_tag_param(arg, tag) if arg else 1.0)
     if name == "uniform":
         if arg is None:
             raise InvalidArgument("uniform tag needs a halfwidth, e.g. uniform(1.5)")
-        return Uniform(float(arg))
+        return Uniform(_tag_param(arg, tag))
     if name == "rademacher":
         return Rademacher()
     raise InvalidArgument(f"unknown distribution: {tag!r}")
@@ -309,6 +332,17 @@ class TeacherModel:
     def d(self) -> int:
         return self.weights.shape[1]
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Singular values of the absorbed weights, descending and read-only.
+
+        Computed once per teacher; the weights are frozen, so the cache
+        cannot go stale.
+        """
+        s = np.linalg.svd(absorb_output_weights(self).weights, compute_uv=False)
+        s.setflags(write=False)
+        return s
+
 
 @dataclass(frozen=True)
 class StudentWeights:
@@ -342,13 +376,7 @@ class Discrepancy:
     matrix: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidArgument("discrepancy must be square")
-        scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-        if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
-            raise InvalidArgument("discrepancy must be symmetric to 1e-12 relative")
-        _frozen_array(self, 0.5 * (a + a.T), "matrix")
+        _frozen_array(self, _symmetric(self.matrix, "discrepancy"), "matrix")
 
     @property
     def d(self) -> int:
@@ -415,7 +443,9 @@ def absorb_output_weights(model: TeacherModel) -> TeacherModel:
     Valid because a z^2 = (sqrt(a) z)^2. The affine activation terms do not
     commute with row scaling, so absorption requires beta = gamma = 0.
     """
-    if model.output_weights is None or np.all(model.output_weights == 1.0):
+    if model.output_weights is None:
+        return model  # frozen, so sharing it is safe and skips a weight copy
+    if np.all(model.output_weights == 1.0):
         return TeacherModel(model.weights, model.activation, None)
     alpha, beta, gamma = model.activation
     if beta != 0.0 or gamma != 0.0:

@@ -30,9 +30,9 @@ from .model import (
     StudentWeights,
     TeacherModel,
     gram,
+    is_full_rank,
     moments_of,
     parse_distribution,
-    rank_tolerance,
     truncated_moments,
 )
 from .risk import (
@@ -437,8 +437,7 @@ def epsilon_stationarity_report(
             f"endpoint is not epsilon-stationary (termination: {trajectory.termination})"
         )
     W = trajectory.final_weights
-    s = np.linalg.svd(W.weights, compute_uv=False)
-    full_rank = W.m >= W.d and s[-1] > rank_tolerance(float(s[0]))
+    full_rank = W.m >= W.d and is_full_rank(W.weights)
     emp = None
     gap_source = "direct"
     gap = float(np.linalg.norm(gram(W) - gram(teacher)))

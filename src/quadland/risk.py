@@ -25,12 +25,11 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _DEFAULT_ACTIVATION,
     discrepancy,
     forward_batch,
     gram,
 )
-
-_DEFAULT_ACT = (1.0, 0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def population_risk(disc: Discrepancy | np.ndarray, moments: Moments) -> RiskRep
 
 
 def _require_square_activation(teacher: TeacherModel) -> None:
-    if teacher.activation != _DEFAULT_ACT:
+    if teacher.activation != _DEFAULT_ACTIVATION:
         raise InvalidArgument(
             "population formulas assume the pure square activation; "
             "rescale weights to absorb alpha first"

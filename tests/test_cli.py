@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-import quadland.cli
+import quadland.landscape
+from quadland import moments_of, parse_distribution, rank_deficient_sweep, sample_teacher
 from quadland.cli import main
 
 
@@ -58,6 +59,11 @@ def test_barrier_scan_example(tmp_path):
     assert summary["tightness_risk"] == pytest.approx(1.5 * summary["barrier"])
     lines = (tmp_path / "results.jsonl").read_text().splitlines()
     assert len(lines) == 500
+    gaussian = parse_distribution("gaussian")
+    sweep = rank_deficient_sweep(
+        sample_teacher(gaussian, 8, 3, 1), moments_of(gaussian), 500, 1
+    )
+    assert [json.loads(line)["risk"] for line in lines] == list(sweep.risks)
 
 
 def test_geometry_check_prime_certificate(tmp_path):
@@ -141,9 +147,13 @@ def test_unknown_flag_exits_2(capsys):
     capsys.readouterr()
 
 
-def test_bad_value_exits_2(capsys):
+def test_bad_value_exits_2(tmp_path, capsys):
     assert main(["init-check", "--seeds", "zero"]) == 2
     assert "seeds" in capsys.readouterr().err
+    for tag in ("gaussian(abc)", "uniform(x)"):
+        assert main(["init-check", "--dist", tag, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert tag in err and len(err.splitlines()) == 1
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -168,7 +178,7 @@ def test_contract_failure_exits_1(tmp_path, monkeypatch, capsys):
     # a barrier scan that finds a rank-deficient student below the barrier
     # must refuse to report success; fake the risk evaluation to force it
     fake = lambda *args, **kwargs: types.SimpleNamespace(value=0.0)
-    monkeypatch.setattr(quadland.cli, "population_risk_of", fake)
+    monkeypatch.setattr(quadland.landscape, "population_risk_of", fake)
     code = main(
         ["barrier-scan", "--d", "2", "--m", "4", "--trials", "3",
          "--out", str(tmp_path)]

@@ -32,6 +32,24 @@ def test_sampled_teacher_full_rank_and_reproducible():
     assert sample_teacher(DIST, 100, 3, 8).weights[0, 0] != a.weights[0, 0]
 
 
+def test_init_check_takes_one_teacher_svd(monkeypatch):
+    # the rank warning, the full-rank check and the reported sigma_min all
+    # read the teacher's cached singular values
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = check_init_below_barrier(
+        identity_init(40, 4), sample_teacher(DIST, 40, 4, 3), GAUSS
+    )
+    assert report.sigma_min_teacher > 0
+    assert calls == [(40, 4)]
+
+
 def test_sample_teacher_rejects_wide_shape():
     with pytest.raises(InvalidArgument):
         sample_teacher(DIST, 2, 3, 0)

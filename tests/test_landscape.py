@@ -190,6 +190,8 @@ def test_embed_gram_reconstructs_random_psd():
 def test_embed_gram_rejects_indefinite():
     with pytest.raises(InvalidArgument):
         embed_gram(np.diag([1.0, -0.5]), 3)
+    with pytest.raises(InvalidArgument, match="symmetric"):
+        embed_gram(np.array([[1.0, 0.5], [0.0, 1.0]]), 3)
 
 
 # --- stationary point certification ---------------------------------------
