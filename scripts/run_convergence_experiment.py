@@ -4,7 +4,9 @@
 For each dimension the teacher is a random gaussian matrix of width 4d^2,
 the data are 5x the critical sample count, and the student starts at the
 sqrt(m)-scaled identity. Each run should end with tiny empirical risk, a
-Gram matrix matching the teacher, and a global-optimum certificate.
+Gram matrix matching the teacher, and a global-optimum certificate. The
+termination column says why descent stopped: "grad_tol" when the gradient
+reached --grad-tol, "stalled" when it sits at the rounding floor above it.
 """
 
 import argparse
@@ -59,6 +61,7 @@ def run_one(d: int, seed: int, grad_tol: float):
         "risk": traj.final_record.risk,
         "gap": gap,
         "iters": traj.iterations,
+        "termination": traj.termination,
         "verdict": cert.verdict,
         "secs": elapsed,
     }
@@ -72,13 +75,13 @@ def main():
     args = parser.parse_args()
 
     print(f"{'d':>3} {'seed':>5} {'below':>6} {'final risk':>12} {'gram gap':>11} "
-          f"{'iters':>6} {'verdict':>16} {'secs':>6}")
+          f"{'iters':>6} {'termination':>11} {'verdict':>16} {'secs':>6}")
     for d in args.dims:
         for seed in range(args.seeds):
             r = run_one(d, seed, args.grad_tol)
             print(f"{r['d']:>3} {r['seed']:>5} {str(r['init_below']):>6} "
                   f"{r['risk']:>12.3e} {r['gap']:>11.3e} {r['iters']:>6} "
-                  f"{r['verdict']:>16} {r['secs']:>6.2f}")
+                  f"{r['termination']:>11} {r['verdict']:>16} {r['secs']:>6.2f}")
 
 
 if __name__ == "__main__":

@@ -13,7 +13,14 @@ import numpy as np
 
 from . import _rng
 from .errors import InvalidArgument
-from .model import Distribution, TeacherModel, forward_batch
+from .model import (
+    _DEFAULT_ACTIVATION,
+    Distribution,
+    TeacherModel,
+    forward_batch,
+    gram,
+    quadform,
+)
 
 # Substream IDs so data and teacher draws at the same seed stay independent.
 DATA_SUBSTREAM = 0
@@ -70,12 +77,21 @@ def sample_dataset(distribution: Distribution, n: int, d: int, seed: int) -> Dat
 
 
 def label_dataset(dataset: Dataset, teacher: TeacherModel) -> Dataset:
-    """Attach labels Y_i = f(teacher; X_i)."""
+    """Attach labels Y_i = f(teacher; X_i).
+
+    A pure-square teacher labels through its output-weighted Gram,
+    Y_i = X_i^T G* X_i, the form students are evaluated in, so a student
+    equal to the teacher has exactly zero residual. Other activations
+    label through forward_batch.
+    """
     if dataset.d != teacher.d:
         raise InvalidArgument(
             f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
         )
-    labels = forward_batch(teacher, dataset.inputs)
+    if teacher.activation == _DEFAULT_ACTIVATION:
+        labels = quadform(dataset.inputs, gram(teacher))
+    else:
+        labels = forward_batch(teacher, dataset.inputs)
     return Dataset(
         inputs=dataset.inputs,
         labels=labels,

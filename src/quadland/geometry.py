@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, label_dataset
 from .errors import ContractViolation, InvalidArgument
 from .landscape import _require_full_rank_teacher, embed_gram
 from .model import (
@@ -26,8 +26,8 @@ from .model import (
     StudentWeights,
     TeacherModel,
     absorb_output_weights,
-    forward_batch,
     gram,
+    quadform,
 )
 from .risk import population_risk
 
@@ -44,8 +44,9 @@ def critical_sample_count(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def _pair_indices(d: int) -> list[tuple[int, int]]:
-    return [(k, l) for k in range(d) for l in range(k + 1, d)]
+def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the pairs k < l, in lexicographic order."""
+    return np.triu_indices(d, 1)
 
 
 @dataclass(frozen=True)
@@ -78,9 +79,8 @@ def tensorize(dataset: Dataset | np.ndarray) -> TensorizedDesign:
     else:
         X = np.atleast_2d(np.asarray(dataset, dtype=float))
     d = X.shape[1]
-    cols = [X[:, k] * X[:, k] for k in range(d)]
-    cols.extend(X[:, k] * X[:, l] for k, l in _pair_indices(d))
-    return TensorizedDesign(xi=np.column_stack(cols), d=d)
+    k, l = _pair_indices(d)
+    return TensorizedDesign(xi=np.hstack([X * X, X[:, k] * X[:, l]]), d=d)
 
 
 def sym_vector(M: np.ndarray) -> np.ndarray:
@@ -88,11 +88,8 @@ def sym_vector(M: np.ndarray) -> np.ndarray:
     compensates the single appearance of x_k x_l in the tensorized row."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     d = M.shape[0]
-    out = np.empty(critical_sample_count(d))
-    out[:d] = np.diag(M)
-    for c, (k, l) in enumerate(_pair_indices(d)):
-        out[d + c] = 2.0 * M[k, l]
-    return out
+    k, l = _pair_indices(d)
+    return np.concatenate([np.diag(M), 2.0 * M[k, l]])
 
 
 def sym_matrix(v: np.ndarray, d: int) -> np.ndarray:
@@ -100,9 +97,9 @@ def sym_matrix(v: np.ndarray, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != critical_sample_count(d):
         raise InvalidArgument("vector length must be d(d+1)/2")
-    M = np.diag(v[:d]).astype(float)
-    for c, (k, l) in enumerate(_pair_indices(d)):
-        M[k, l] = M[l, k] = 0.5 * v[d + c]
+    M = np.diag(v[:d])
+    k, l = _pair_indices(d)
+    M[k, l] = M[l, k] = 0.5 * v[d:]
     return M
 
 
@@ -218,7 +215,7 @@ def prime_vandermonde_certificate(d: int) -> PrimeCertificate:
         e = [0] * d
         e[k] = 2
         vectors.append(tuple(e))
-    for k, l in _pair_indices(d):
+    for k, l in zip(*_pair_indices(d)):
         e = [0] * d
         e[k] = e[l] = 1
         vectors.append(tuple(e))
@@ -290,12 +287,10 @@ def null_interpolator(
         "direction_spectral_norm": float(np.max(np.abs(np.linalg.eigvalsh(direction)))),
     }
     if dataset is not None:
-        constraint = np.einsum(
-            "ij,jk,ik->i", dataset.inputs, direction, dataset.inputs
-        )
+        constraint = quadform(dataset.inputs, direction)
         certificate["max_constraint_violation"] = float(np.max(np.abs(constraint)))
-        labels = forward_batch(absorbed, dataset.inputs)
-        residual = forward_batch(student, dataset.inputs) - labels
+        labels = quadform(dataset.inputs, g_star)
+        residual = quadform(dataset.inputs, gram(student)) - labels
         emp = float(np.mean(residual ** 2))
         certificate["empirical_risk"] = emp
         scale = 1.0 + float(np.mean(labels ** 2))
@@ -346,12 +341,8 @@ def recover_gram_discrepancy(
             f"tensorized design has rank {report.rank} < {report.dimension}; "
             "recovery is ill-posed"
         )
-    labels = (
-        dataset.labels
-        if dataset.labeled
-        else forward_batch(absorb_output_weights(teacher), dataset.inputs)
-    )
-    v = forward_batch(student, dataset.inputs) - labels
+    labels = (dataset if dataset.labeled else label_dataset(dataset, teacher)).labels
+    v = quadform(dataset.inputs, gram(student)) - labels
     design = tensorize(dataset)
     sol, _, _, _ = np.linalg.lstsq(design.xi, v, rcond=None)
     m_hat = sym_matrix(sol, dataset.d)

@@ -417,6 +417,15 @@ def forward_batch(model: Network, X: np.ndarray) -> np.ndarray:
     return vals.sum(axis=1) if a is None else vals @ a
 
 
+def quadform(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The quadratic forms X_i^T A X_i over the rows of X (N x d), in O(N d^2).
+
+    A pure-square network's outputs are quadform(X, gram(network)), so this
+    is the one place that evaluates a batch of such forms.
+    """
+    return ((X @ A) * X).sum(axis=1)
+
+
 def gram(model_or_weights) -> np.ndarray:
     """Output-weighted Gram matrix sum_j a_j W_j W_j^T (d x d, symmetric)."""
     if isinstance(model_or_weights, (TeacherModel, StudentWeights)):
@@ -425,8 +434,12 @@ def gram(model_or_weights) -> np.ndarray:
     else:
         w = np.atleast_2d(np.asarray(model_or_weights, dtype=float))
         a = None
-    scaled = w if a is None else w * np.sqrt(a)[:, None]
-    g = scaled.T @ scaled
+    return _gram_matrix(w if a is None else w * np.sqrt(a)[:, None])
+
+
+def _gram_matrix(w: np.ndarray) -> np.ndarray:
+    """W^T W of a raw weight matrix, exactly symmetric."""
+    g = w.T @ w
     return 0.5 * (g + g.T)
 
 

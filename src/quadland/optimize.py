@@ -36,7 +36,8 @@ from .model import (
     truncated_moments,
 )
 from .risk import (
-    empirical_gradient,
+    _raw_empirical_gradient,
+    _raw_empirical_risk,
     empirical_risk,
     population_gradient,
     population_risk_of,
@@ -122,7 +123,11 @@ class GDConfig:
 
 @dataclass(frozen=True)
 class Objective:
-    """Risk and gradient closures over raw weight matrices."""
+    """Risk and gradient closures over raw weight matrices.
+
+    The closures do not validate their argument: gradient_descent checks
+    the initial weights once and every iterate for finiteness.
+    """
 
     kind: str
     risk: Callable[[np.ndarray], float]
@@ -139,10 +144,15 @@ def build_objective(
     if dataset is not None:
         if not dataset.labeled:
             raise InvalidArgument("gradient descent needs a labeled dataset")
+        if dataset.d != teacher.d:
+            raise InvalidArgument(
+                f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
+            )
+        X, y = dataset.inputs, dataset.labels
         return Objective(
             kind="empirical",
-            risk=lambda W: empirical_risk(StudentWeights(W), dataset),
-            gradient=lambda W: empirical_gradient(StudentWeights(W), dataset),
+            risk=lambda W: _raw_empirical_risk(W, X, y),
+            gradient=lambda W: _raw_empirical_gradient(W, X, y),
         )
     return Objective(
         kind="population",
@@ -213,7 +223,7 @@ class TrajectoryRecord:
 class Trajectory:
     records: tuple[TrajectoryRecord, ...]
     final_weights: StudentWeights
-    termination: str  # "grad_tol" | "max_iters" | "nonfinite"
+    termination: str  # "grad_tol" | "max_iters" | "nonfinite" | "stalled"
     iterations: int
     config: GDConfig
 
@@ -260,7 +270,10 @@ def gradient_descent(
 
     The recorded risk sequence is non-increasing under the backtracking and
     inverse-smoothness policies; a violation raises ContractViolation. Non-
-    finite values abort the run with termination reason "nonfinite".
+    finite values abort the run with termination reason "nonfinite". An
+    accepted step that leaves W bitwise unchanged (the gradient is at the
+    rounding floor of the risk) stops the run as "stalled" instead of
+    spinning until max_iters.
     """
     if isinstance(data_or_moments, Dataset):
         if config.objective != "empirical":
@@ -348,6 +361,9 @@ def gradient_descent(
                     f"risk increased from {risk:.6e} to {risk_new:.6e} "
                     "under a descent-guaranteed policy"
                 )
+        if np.array_equal(W_new, W):
+            termination = "stalled"
+            break
         W, risk = W_new, risk_new
         grad = obj.gradient(W)
         k += 1

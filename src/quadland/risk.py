@@ -10,6 +10,10 @@ which for standard normal coordinates collapses to tr(A)^2 + 2 tr(A^2).
 The diagonal-only third term is sandwiched by the bounds
 
     mu2^2 tr(A)^2 + c tr(A^2),   c in {min, max}{mu4 - mu2^2, 2 mu2^2}.
+
+A student's outputs are X_i^T (W^T W) X_i, so the empirical risk and
+gradient are evaluated in Gram space at O(N d^2 + m d^2) per call, never
+through the N x m matrix of neuron pre-activations.
 """
 
 from __future__ import annotations
@@ -26,9 +30,10 @@ from .model import (
     StudentWeights,
     TeacherModel,
     _DEFAULT_ACTIVATION,
+    _gram_matrix,
     discrepancy,
-    forward_batch,
     gram,
+    quadform,
 )
 
 
@@ -63,25 +68,40 @@ def _require_labeled(dataset: Dataset) -> None:
         raise InvalidArgument("dataset has no labels; run label_dataset first")
 
 
-def empirical_risk(student: StudentWeights, dataset: Dataset) -> float:
-    """Mean squared residual (1/N) sum (Y_i - ||W X_i||^2)^2."""
+def _check_empirical(student: StudentWeights, dataset: Dataset) -> None:
     _require_labeled(dataset)
     if student.d != dataset.d:
         raise InvalidArgument(f"dimension mismatch: student d={student.d}, data d={dataset.d}")
-    r = forward_batch(student, dataset.inputs) - dataset.labels
+
+
+def _residuals(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """r_i = X_i^T (W^T W) X_i - y_i, with no N x m temporary."""
+    return quadform(X, _gram_matrix(W)) - y
+
+
+def _raw_empirical_risk(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+    """empirical_risk on raw arrays, without validation."""
+    r = _residuals(W, X, y)
     return float(np.mean(r * r))
+
+
+def _raw_empirical_gradient(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """empirical_gradient on raw arrays, without validation."""
+    r = _residuals(W, X, y)
+    S = (4.0 / X.shape[0]) * (X * r[:, None]).T @ X
+    return W @ (0.5 * (S + S.T))
+
+
+def empirical_risk(student: StudentWeights, dataset: Dataset) -> float:
+    """Mean squared residual (1/N) sum (Y_i - ||W X_i||^2)^2."""
+    _check_empirical(student, dataset)
+    return _raw_empirical_risk(student.weights, dataset.inputs, dataset.labels)
 
 
 def empirical_gradient(student: StudentWeights, dataset: Dataset) -> np.ndarray:
     """Exact gradient W S with S = (4/N) sum r_i X_i X_i^T, r_i the residuals."""
-    _require_labeled(dataset)
-    if student.d != dataset.d:
-        raise InvalidArgument(f"dimension mismatch: student d={student.d}, data d={dataset.d}")
-    X = dataset.inputs
-    r = forward_batch(student, X) - dataset.labels
-    S = (4.0 / dataset.n) * (X * r[:, None]).T @ X
-    S = 0.5 * (S + S.T)
-    return student.weights @ S
+    _check_empirical(student, dataset)
+    return _raw_empirical_gradient(student.weights, dataset.inputs, dataset.labels)
 
 
 def population_risk(disc: Discrepancy | np.ndarray, moments: Moments) -> RiskReport:

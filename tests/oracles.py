@@ -26,6 +26,16 @@ def forward_loop(weights, x, activation=(1.0, 0.0, 0.0), output_weights=None):
     return total
 
 
+def quadratic_form_loop(M, x):
+    """x^T M x as the double sum sum_kl x_k M_kl x_l."""
+    d = len(x)
+    total = 0.0
+    for k in range(d):
+        for l in range(d):
+            total += x[k] * M[k, l] * x[l]
+    return total
+
+
 def gram_loop(weights):
     """Entrywise Gram matrix G_kl = sum_j W_jk W_jl."""
     m, d = weights.shape

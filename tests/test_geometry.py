@@ -18,6 +18,7 @@ from quadland import (
     population_risk_of,
     prime_vandermonde_certificate,
     prime_vandermonde_data,
+    quadform,
     recover_gram_discrepancy,
     sample_dataset,
     spans_symmetric,
@@ -73,6 +74,17 @@ def test_tensorize_pairing_identity(data, d):
     lhs = float(design.xi[0] @ sym_vector(M))
     rhs = float(x @ M @ x)
     assert lhs == pytest.approx(rhs, abs=1e-12 * (1 + abs(rhs)))
+
+
+def test_tensorized_pairing_matches_quadratic_form_oracle():
+    X = rng.standard_normal((9, 5))
+    B = rng.standard_normal((5, 5))
+    M = 0.5 * (B + B.T)
+    xi = tensorize(X).xi
+    assert np.array_equal(xi, oracles.tensorize_loop(X))
+    want = [oracles.quadratic_form_loop(M, x) for x in X]
+    assert np.allclose(xi @ sym_vector(M), want, rtol=1e-12, atol=1e-12)
+    assert np.allclose(quadform(X, M), want, rtol=1e-12, atol=1e-12)
 
 
 def test_sym_vector_matrix_round_trip():

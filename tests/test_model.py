@@ -19,6 +19,7 @@ from quadland import (
     gram,
     moments_of,
     parse_distribution,
+    quadform,
     truncated_moments,
 )
 from quadland.model import is_full_rank, numerical_rank
@@ -76,6 +77,13 @@ def test_forward_batch_agrees_with_forward():
     batch = forward_batch(student, X)
     for i in range(6):
         assert batch[i] == pytest.approx(forward(student, X[i]), rel=1e-12)
+
+
+def test_quadform_of_gram_agrees_with_forward_batch():
+    W = rng.standard_normal((5, 4))
+    X = rng.standard_normal((8, 4))
+    want = forward_batch(StudentWeights(W), X)
+    assert np.allclose(quadform(X, gram(W)), want, rtol=1e-12, atol=0)
 
 
 def test_forward_invariant_under_orthonormal_rotation():

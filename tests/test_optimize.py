@@ -180,6 +180,45 @@ def test_max_iters_termination():
     assert traj.iterations == 3
 
 
+def test_stall_at_rounding_floor_stops_the_run():
+    # no iterate reaches grad_tol = 1e-300; once an accepted Armijo step
+    # leaves W bitwise unchanged, later steps cannot move it either
+    teacher, data, init, _ = converged_setup(d=3)
+    config = GDConfig(objective="empirical", grad_tol=1e-300, max_iters=5000)
+    traj = gradient_descent(init, teacher, data, config)
+    assert traj.termination == "stalled"
+    assert traj.iterations < 1000
+    assert traj.records[-1].iteration == traj.iterations
+
+
+def test_empirical_descent_builds_no_per_call_wrappers(monkeypatch):
+    import sys
+
+    from quadland import model
+
+    calls = {"StudentWeights": 0, "forward_batch": 0}
+    post_init, forward_batch = model.StudentWeights.__post_init__, model.forward_batch
+
+    def counted_post_init(self):
+        calls["StudentWeights"] += 1
+        post_init(self)
+
+    def counted_forward_batch(*args):
+        calls["forward_batch"] += 1
+        return forward_batch(*args)
+
+    teacher, data, init, config = converged_setup()
+    monkeypatch.setattr(model.StudentWeights, "__post_init__", counted_post_init)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "quadland" and getattr(module, "forward_batch", None) is forward_batch:
+            monkeypatch.setattr(module, "forward_batch", counted_forward_batch)
+    traj = gradient_descent(init, teacher, data, config)
+    assert traj.termination == "grad_tol" and traj.iterations > 20
+    # a constant count, not one per risk or gradient evaluation
+    assert calls["StudentWeights"] <= 2
+    assert calls["forward_batch"] == 0
+
+
 def test_objective_payload_mismatch_rejected():
     teacher, data, init, _ = converged_setup()
     with pytest.raises(InvalidArgument):
