@@ -12,8 +12,6 @@ reached --grad-tol, "stalled" when it sits at the rounding floor above it.
 import argparse
 import time
 
-import numpy as np
-
 from quadland import (
     Backtracking,
     GDConfig,
@@ -21,7 +19,6 @@ from quadland import (
     check_init_below_barrier,
     critical_sample_count,
     gradient_descent,
-    gram,
     identity_init,
     label_dataset,
     moments_of,
@@ -41,16 +38,10 @@ def run_one(d: int, seed: int, grad_tol: float):
     moments = moments_of(dist)
     below = check_init_below_barrier(init, teacher, moments).below
 
-    config = GDConfig(
-        objective="empirical",
-        step_policy=Backtracking(),
-        grad_tol=grad_tol,
-        record_every=50,
-    )
+    config = GDConfig(step_policy=Backtracking(), grad_tol=grad_tol, record_every=50)
     t0 = time.time()
     traj = gradient_descent(init, teacher, dataset, config)
     elapsed = time.time() - t0
-    gap = float(np.linalg.norm(gram(traj.final_weights) - gram(teacher)))
     cert = certify_stationary_global(
         traj.final_weights, teacher, moments, grad_tol=1e-6, gram_tol=1e-6
     )
@@ -59,7 +50,7 @@ def run_one(d: int, seed: int, grad_tol: float):
         "seed": seed,
         "init_below": below,
         "risk": traj.final_record.risk,
-        "gap": gap,
+        "gap": cert.gram_gap,
         "iters": traj.iterations,
         "termination": traj.termination,
         "verdict": cert.verdict,

@@ -12,13 +12,17 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
+from .errors import InvalidArgument
+
 _MANTISSA = 1 << 53
 
 
 def stream(seed: int, substream: int = 0) -> np.random.Generator:
     """Generator for an independent substream of the given seed."""
-    if seed < 0 or substream < 0:
-        raise ValueError("seed and substream must be nonnegative")
+    if not (0 <= seed < 2 ** 64 and 0 <= substream < 2 ** 64):
+        raise InvalidArgument(
+            f"seed and substream must fit in 64 unsigned bits, got ({seed}, {substream})"
+        )
     key = np.array([seed, substream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 

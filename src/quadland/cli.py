@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _rng
 from .data import label_dataset, sample_dataset
-from .errors import ContractViolation, InvalidArgument, NonfiniteValue
+from .errors import ContractViolation, DegenerateDistribution, InvalidArgument, NonfiniteValue
 from .geometry import (
     critical_sample_count,
     prime_vandermonde_certificate,
@@ -122,7 +122,6 @@ _OPTIONS: dict[str, list[_Opt]] = {
         _Opt("N", _count, 30, "sample count for the empirical objective"),
         _Opt("dist", str, "gaussian", "data distribution tag"),
         _Opt("teacher-dist", str, "gaussian", "teacher entry distribution tag"),
-        _Opt("init", _choice("identity"), "identity", "initialization family"),
         _Opt("init-scale", _choice("m", "m_plus_4d"), "m", "identity scaling rule"),
         _Opt("objective", _choice("empirical", "population"), "empirical", "risk to descend"),
         _Opt(
@@ -254,7 +253,6 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
     else:
         policy = Backtracking()
     gd_config = GDConfig(
-        objective=cfg["objective"],
         step_policy=policy,
         grad_tol=cfg["grad_tol"],
         max_iters=cfg["max_iters"],
@@ -263,12 +261,12 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
 
     teacher = sample_teacher(teacher_dist, m, d, cfg["seed"])
     init = identity_init(mhat, d, cfg["init_scale"])
-    init_report = check_init_below_barrier(init, teacher, moments)
+    try:
+        init_below = check_init_below_barrier(init, teacher, moments).below
+    except DegenerateDistribution:  # Var(X^2) = 0: no barrier, descend anyway
+        init_below = None
     if cfg["objective"] == "empirical":
-        dataset = label_dataset(
-            sample_dataset(data_dist, cfg["N"], d, cfg["seed"]), teacher
-        )
-        payload = dataset
+        payload = label_dataset(sample_dataset(data_dist, cfg["N"], d, cfg["seed"]), teacher)
     else:
         payload = moments
     trajectory = gradient_descent(init, teacher, payload, gd_config)
@@ -289,7 +287,7 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
         "gram_gap": certificate.gram_gap,
         "iterations": trajectory.iterations,
         "termination": trajectory.termination,
-        "init_below_barrier": init_report.below,
+        "init_below_barrier": init_below,
         "verdict": certificate.verdict,
     }
 

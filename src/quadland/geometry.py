@@ -243,23 +243,18 @@ def null_interpolator(
     dataset: Dataset | None,
     target_rows: int,
     moments: Moments | None = None,
-    delta: float | None = None,
 ) -> NullInterpolatorResult:
     """Student interpolating every sample yet staying above the barrier.
 
     Finds a unit-spectral-norm symmetric M orthogonal to every X_i X_i^T
     (least right singular direction of the tensorized design), and factors
-    (W*)^T W* + delta M with delta = sigma_min(W*)^2 by default. Weyl's
+    (W*)^T W* + delta M with delta = sigma_min(W*)^2. Weyl's
     inequality keeps that matrix PSD. Residuals vanish on the sample while
     the population risk stays at least c_lower * sigma_min^4.
     """
-    sigma_min_sq = _require_full_rank_teacher(teacher) ** 2
+    delta = _require_full_rank_teacher(teacher) ** 2
     absorbed = absorb_output_weights(teacher)
     g_star = gram(absorbed)
-    if delta is None:
-        delta = sigma_min_sq
-    if not 0 < delta <= sigma_min_sq + 1e-12:
-        raise InvalidArgument("delta must lie in (0, sigma_min(W*)^2]")
     d = teacher.d
     D = critical_sample_count(d)
     if dataset is None:
@@ -300,7 +295,7 @@ def null_interpolator(
             )
     if moments is not None:
         value = population_risk(-delta * direction, moments).value
-        lower = moments.c_lower * sigma_min_sq ** 2
+        lower = moments.c_lower * delta ** 2
         certificate["population_risk"] = value
         certificate["population_lower"] = lower
         if value < lower - 1e-9:

@@ -33,8 +33,7 @@ def write_matrix(path, matrix) -> None:
     m, d = matrix.shape
     with open(path, "w") as fh:
         fh.write(f"# rows={m} cols={d}\n")
-        for row in matrix:
-            fh.write(",".join(_FLOAT_FMT % v for v in row) + "\n")
+        np.savetxt(fh, matrix, fmt=_FLOAT_FMT, delimiter=",")
 
 
 _MATRIX_HEADER = re.compile(r"^#\s*rows=(\d+)\s+cols=(\d+)\s*$")
@@ -65,11 +64,10 @@ def write_dataset(path, dataset: Dataset) -> None:
         if dataset.labeled:
             names.append("label")
         fh.write(",".join(names) + "\n")
-        for i in range(dataset.n):
-            vals = [_FLOAT_FMT % v for v in dataset.inputs[i]]
-            if dataset.labeled:
-                vals.append(_FLOAT_FMT % dataset.labels[i])
-            fh.write(",".join(vals) + "\n")
+        rows = dataset.inputs
+        if dataset.labeled:
+            rows = np.column_stack((rows, dataset.labels))
+        np.savetxt(fh, rows, fmt=_FLOAT_FMT, delimiter=",")
 
 
 _DATASET_HEADER = re.compile(r"^#\s*n=(\d+)\s+d=(\d+)\s+dist=(\S+)\s+seed=(\d+)\s*$")
@@ -97,11 +95,6 @@ def write_json(path, obj) -> None:
     with open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def append_jsonl(path, record) -> None:
-    with open(path, "a") as fh:
-        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def write_jsonl(path, records) -> None:

@@ -69,18 +69,12 @@ def _require_full_rank_teacher(teacher: TeacherModel) -> float:
     return float(s[-1])
 
 
-def energy_barrier(
-    teacher: TeacherModel,
-    moments: Moments,
-    mode: str = "population",
-    alpha: float | None = None,
-) -> float:
+def energy_barrier(teacher: TeacherModel, moments: Moments, mode: str = "population") -> float:
     """Barrier value constant * sigma_min(W*)^4.
 
     Population mode uses c_lower = min{mu4 - mu2^2, 2 mu2^2}; empirical
     mode uses half that constant computed from the truncated moments the
-    caller passes in. The activation scale alpha (teacher's by default)
-    enters squared.
+    caller passes in. The teacher's activation scale alpha enters squared.
     """
     if mode not in ("population", "empirical"):
         raise InvalidArgument(f"unknown barrier mode: {mode!r}")
@@ -89,8 +83,7 @@ def energy_barrier(
             "Var(X^2) = 0, the barrier constant vanishes for this law"
         )
     sigma_min = _require_full_rank_teacher(teacher)
-    if alpha is None:
-        alpha = teacher.activation[0]
+    alpha = teacher.activation[0]
     constant = moments.c_lower if mode == "population" else 0.5 * moments.c_lower
     return alpha * alpha * constant * sigma_min ** 4
 
@@ -100,9 +93,8 @@ def barrier_report(
     moments: Moments,
     risk_value: float,
     mode: str = "population",
-    alpha: float | None = None,
 ) -> BarrierReport:
-    barrier = energy_barrier(teacher, moments, mode, alpha)
+    barrier = energy_barrier(teacher, moments, mode)
     constant = moments.c_lower if mode == "population" else 0.5 * moments.c_lower
     return BarrierReport(
         barrier_value=barrier,
@@ -188,17 +180,22 @@ def certify_stationary_global(
     A full-rank point with vanishing population gradient must match the
     teacher Gram (then it is a global optimum); a rank-deficient point
     with risk at or above the barrier is protected by it; anything else
-    is inconclusive.
+    is inconclusive. Under a degenerate law (Var(X^2) = 0) the risk cannot
+    see zero-trace diagonal discrepancies, so a full-rank stationary point
+    off the teacher Gram is inconclusive rather than a broken contract.
     """
     full_rank = student.m >= student.d and is_full_rank(student.weights)
     grad_norm = float(np.linalg.norm(population_gradient(student, teacher, moments)))
     gram_gap = float(np.linalg.norm(gram(student) - gram(teacher)))
     if full_rank and grad_norm <= grad_tol:
-        if gram_gap > gram_tol:
+        if gram_gap <= gram_tol:
+            verdict = "global-optimum"
+        elif moments.degenerate:
+            verdict = "inconclusive"
+        else:
             raise ContractViolation(
                 f"full-rank stationary point with gram gap {gram_gap:.3e} > {gram_tol:.3e}"
             )
-        verdict = "global-optimum"
     elif not full_rank and not moments.degenerate:
         risk = population_risk_of(student, teacher, moments).value
         barrier = energy_barrier(teacher, moments, "population")

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -73,6 +74,15 @@ def _format_param(x: float) -> str:
     return str(int(x)) if float(x) == int(x) else repr(float(x))
 
 
+# Largest scale s with 3 s^4 finite, so every moment of a scaled law is.
+_MAX_SCALE = (sys.float_info.max / 3.0) ** 0.25
+
+
+def _check_scale(value: float, noun: str) -> None:
+    if not 0 < value <= _MAX_SCALE:
+        raise InvalidArgument(f"{noun} must be positive and at most {_MAX_SCALE:.4g}")
+
+
 # --------------------------------------------------------------------------
 # coordinate distributions
 # --------------------------------------------------------------------------
@@ -85,8 +95,7 @@ class Gaussian:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise InvalidArgument("gaussian sigma must be positive and finite")
+        _check_scale(self.sigma, "gaussian sigma")
 
     @property
     def tag(self) -> str:
@@ -120,8 +129,7 @@ class Uniform:
     halfwidth: float
 
     def __post_init__(self):
-        if not (self.halfwidth > 0 and math.isfinite(self.halfwidth)):
-            raise InvalidArgument("uniform halfwidth must be positive and finite")
+        _check_scale(self.halfwidth, "uniform halfwidth")
 
     @property
     def tag(self) -> str:

@@ -29,6 +29,7 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _gram_matrix,
     gram,
     is_full_rank,
     moments_of,
@@ -38,12 +39,19 @@ from .model import (
 from .risk import (
     _raw_empirical_gradient,
     _raw_empirical_risk,
+    _raw_population_gradient,
+    _require_square_activation,
     empirical_risk,
-    population_gradient,
+    population_risk,
     population_risk_of,
 )
 
 SMOOTHNESS_SUBSTREAM = 2
+
+# Power iteration in estimate_smoothness stops after this many rounds, or
+# once two successive norm estimates agree to this relative tolerance.
+_SMOOTHNESS_ROUNDS = 30
+_SMOOTHNESS_RTOL = 1e-3
 
 _STALL_ETA = 1e-30
 
@@ -101,15 +109,12 @@ StepPolicy = FixedStep | InverseSmoothness | Backtracking
 
 @dataclass(frozen=True)
 class GDConfig:
-    objective: str = "empirical"  # or "population"
     step_policy: StepPolicy = field(default_factory=Backtracking)
     grad_tol: float = 1e-8
     max_iters: int = 10 ** 6
     record_every: int = 100
 
     def __post_init__(self):
-        if self.objective not in ("empirical", "population"):
-            raise InvalidArgument(f"unknown objective: {self.objective!r}")
         if not self.grad_tol > 0:
             raise InvalidArgument("grad_tol must be positive")
         if self.max_iters < 0 or self.record_every < 1:
@@ -129,19 +134,14 @@ class Objective:
     the initial weights once and every iterate for finiteness.
     """
 
-    kind: str
     risk: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
-def build_objective(
-    teacher: TeacherModel,
-    dataset: Dataset | None = None,
-    moments: Moments | None = None,
-) -> Objective:
-    if (dataset is None) == (moments is None):
-        raise InvalidArgument("provide exactly one of dataset or moments")
-    if dataset is not None:
+def build_objective(teacher: TeacherModel, data_or_moments: Dataset | Moments) -> Objective:
+    """Empirical risk for a labeled Dataset, population risk for Moments."""
+    if isinstance(data_or_moments, Dataset):
+        dataset = data_or_moments
         if not dataset.labeled:
             raise InvalidArgument("gradient descent needs a labeled dataset")
         if dataset.d != teacher.d:
@@ -150,24 +150,21 @@ def build_objective(
             )
         X, y = dataset.inputs, dataset.labels
         return Objective(
-            kind="empirical",
             risk=lambda W: _raw_empirical_risk(W, X, y),
             gradient=lambda W: _raw_empirical_gradient(W, X, y),
         )
-    return Objective(
-        kind="population",
-        risk=lambda W: population_risk_of(StudentWeights(W), teacher, moments).value,
-        gradient=lambda W: population_gradient(StudentWeights(W), teacher, moments),
-    )
+    if isinstance(data_or_moments, Moments):
+        moments = data_or_moments
+        _require_square_activation(teacher)
+        Gs = gram(teacher)
+        return Objective(
+            risk=lambda W: population_risk(Gs - _gram_matrix(W), moments).value,
+            gradient=lambda W: _raw_population_gradient(W, Gs, moments),
+        )
+    raise InvalidArgument("expected a Dataset or Moments")
 
 
-def estimate_smoothness(
-    student: StudentWeights,
-    objective: Objective,
-    seed: int = 0,
-    max_rounds: int = 30,
-    rel_tol: float = 1e-3,
-) -> float:
+def estimate_smoothness(student: StudentWeights, objective: Objective, seed: int = 0) -> float:
     """Hessian spectral norm at the current point by power iteration on
     central-difference Hessian-vector products."""
     W = student.weights
@@ -176,14 +173,14 @@ def estimate_smoothness(
     v /= np.linalg.norm(v)
     h = 1e-5 * (1.0 + float(np.abs(W).max()))
     lam = 0.0
-    for _ in range(max_rounds):
+    for _ in range(_SMOOTHNESS_ROUNDS):
         u = (objective.gradient(W + h * v) - objective.gradient(W - h * v)) / (2.0 * h)
         if not np.all(np.isfinite(u)):
             raise NonfiniteValue("Hessian-vector product is not finite")
         lam_new = float(np.linalg.norm(u))
         if lam_new == 0.0:
             return 0.0
-        if abs(lam_new - lam) <= rel_tol * lam_new:
+        if abs(lam_new - lam) <= _SMOOTHNESS_RTOL * lam_new:
             return lam_new
         lam = lam_new
         v = u / lam_new
@@ -232,20 +229,16 @@ class Trajectory:
         return self.records[-1]
 
 
-def _barrier_context(
-    teacher: TeacherModel,
-    dataset: Dataset | None,
-    moments: Moments | None,
-):
+def _barrier_context(teacher: TeacherModel, data_or_moments: Dataset | Moments):
     """Barrier value and base moments for trajectory flags; None when the
     data distribution is unknown or degenerate."""
-    if moments is not None:
-        base = moments
+    if isinstance(data_or_moments, Moments):
         try:
-            barrier = energy_barrier(teacher, moments, "population")
+            barrier = energy_barrier(teacher, data_or_moments, "population")
         except QuadlandError:
             barrier = None
-        return barrier, base
+        return barrier, data_or_moments
+    dataset = data_or_moments
     try:
         dist = parse_distribution(dataset.distribution_tag)
         base = moments_of(dist)
@@ -268,6 +261,8 @@ def gradient_descent(
 ) -> Trajectory:
     """Iterate W <- W - eta * grad until the gradient norm reaches grad_tol.
 
+    The payload picks the risk: a labeled Dataset gives the empirical risk,
+    Moments the closed-form population risk.
     The recorded risk sequence is non-increasing under the backtracking and
     inverse-smoothness policies; a violation raises ContractViolation. Non-
     finite values abort the run with termination reason "nonfinite". An
@@ -275,18 +270,8 @@ def gradient_descent(
     rounding floor of the risk) stops the run as "stalled" instead of
     spinning until max_iters.
     """
-    if isinstance(data_or_moments, Dataset):
-        if config.objective != "empirical":
-            raise InvalidArgument("dataset given but objective is not 'empirical'")
-        obj = build_objective(teacher, dataset=data_or_moments)
-        barrier, base_moments = _barrier_context(teacher, data_or_moments, None)
-    elif isinstance(data_or_moments, Moments):
-        if config.objective != "population":
-            raise InvalidArgument("moments given but objective is not 'population'")
-        obj = build_objective(teacher, moments=data_or_moments)
-        barrier, base_moments = _barrier_context(teacher, None, data_or_moments)
-    else:
-        raise InvalidArgument("expected a Dataset or Moments")
+    obj = build_objective(teacher, data_or_moments)
+    barrier, base_moments = _barrier_context(teacher, data_or_moments)
     if initial.d != teacher.d:
         raise InvalidArgument("initial weights do not match the teacher dimension")
 

@@ -39,12 +39,11 @@ from .model import (
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Risk value with optional sandwich bounds and gradient norm."""
+    """Risk value with optional sandwich bounds."""
 
     value: float
     lower_bound: float | None = None
     upper_bound: float | None = None
-    gradient_norm: float | None = None
 
     def __post_init__(self):
         if self.lower_bound is not None and self.upper_bound is not None:
@@ -59,7 +58,6 @@ class RiskReport:
             "value": self.value,
             "lower": self.lower_bound,
             "upper": self.upper_bound,
-            "grad_norm": self.gradient_norm,
         }
 
 
@@ -128,18 +126,22 @@ def _require_square_activation(teacher: TeacherModel) -> None:
 
 
 def population_risk_of(
-    student: StudentWeights,
-    teacher: TeacherModel,
-    moments: Moments,
-    with_gradient: bool = False,
+    student: StudentWeights, teacher: TeacherModel, moments: Moments
 ) -> RiskReport:
     """Population risk of a student against a planted teacher."""
     _require_square_activation(teacher)
-    report = population_risk(discrepancy(teacher, student), moments)
-    if with_gradient:
-        gnorm = float(np.linalg.norm(population_gradient(student, teacher, moments)))
-        report = RiskReport(report.value, report.lower_bound, report.upper_bound, gnorm)
-    return report
+    return population_risk(discrepancy(teacher, student), moments)
+
+
+def _raw_population_gradient(W: np.ndarray, Gs: np.ndarray, moments: Moments) -> np.ndarray:
+    """population_gradient on raw arrays against the teacher Gram Gs, without validation."""
+    G = _gram_matrix(W)
+    mu2, mu4 = moments.mu2, moments.mu4
+    diag_diff = np.diag(G) - np.diag(Gs)
+    term_diag = (mu4 - 3.0 * mu2 * mu2) * (W * diag_diff[None, :])
+    term_trace = mu2 * mu2 * (float(np.trace(G)) - float(np.trace(Gs))) * W
+    term_gram = 2.0 * mu2 * mu2 * (W @ (G - Gs))
+    return 4.0 * (term_diag + term_trace + term_gram)
 
 
 def population_gradient(
@@ -158,12 +160,4 @@ def population_gradient(
     _require_square_activation(teacher)
     if teacher.d != student.d:
         raise InvalidArgument(f"dimension mismatch: teacher d={teacher.d}, student d={student.d}")
-    W = student.weights
-    G = gram(student)
-    Gs = gram(teacher)
-    mu2, mu4 = moments.mu2, moments.mu4
-    diag_diff = np.diag(G) - np.diag(Gs)
-    term_diag = (mu4 - 3.0 * mu2 * mu2) * (W * diag_diff[None, :])
-    term_trace = mu2 * mu2 * (float(np.trace(G)) - float(np.trace(Gs))) * W
-    term_gram = 2.0 * mu2 * mu2 * (W @ (G - Gs))
-    return 4.0 * (term_diag + term_trace + term_gram)
+    return _raw_population_gradient(student.weights, gram(teacher), moments)

@@ -142,7 +142,7 @@ def convergence_runs():
         m = 4 * d * d
         n = 5 * critical_sample_count(d)
         init = identity_init(m, d, "m")
-        config = GDConfig(objective="empirical", grad_tol=1e-9, record_every=1)
+        config = GDConfig(grad_tol=1e-9, record_every=1)
         entries = []
         seed = 1
         while len(entries) < 10:

@@ -19,7 +19,7 @@ def test_gd_run_example(tmp_path):
     code = main(
         [
             "gd-run", "--d", "2", "--m", "8", "--N", "30",
-            "--init", "identity", "--seed", "1", "--out", str(tmp_path),
+            "--seed", "1", "--out", str(tmp_path),
         ]
     )
     assert code == 0
@@ -154,6 +154,27 @@ def test_bad_value_exits_2(tmp_path, capsys):
         assert main(["init-check", "--dist", tag, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert tag in err and len(err.splitlines()) == 1
+    # parameters whose moments overflow, and seeds past 2^64 - 1
+    for argv in (
+        ["init-check", "--dist", "uniform(1e308)"],
+        ["init-check", "--dist", "gaussian(1e200)"],
+        ["init-check", "--seeds", "3", "--seed", "18446744073709551615"],
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_gd_run_on_degenerate_law_reports_no_barrier(tmp_path, capsys):
+    # Var(X^2) = 0 for rademacher data: there is no barrier to compare the
+    # init against, and the risk cannot see zero-trace diagonal discrepancies
+    assert main(["gd-run", "--dist", "rademacher", "--out", str(tmp_path)]) == 0
+    summary = read_json(tmp_path / "summary.json")
+    assert summary["init_below_barrier"] is None
+    assert summary["termination"] == "grad_tol"
+    assert summary["verdict"] == "inconclusive"
+    assert all(json.loads(line)["below_barrier"] is None
+               for line in (tmp_path / "results.jsonl").read_text().splitlines())
+    capsys.readouterr()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

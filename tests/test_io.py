@@ -35,6 +35,15 @@ def test_matrix_round_trip_is_exact(tmp_path_factory, M):
     assert np.array_equal(back, M)
 
 
+def test_matrix_rows_are_17_significant_digits(tmp_path):
+    M = np.array([[-0.0, 5e-324, 1e308], [2.0 ** 60, 0.1, -1.5]])
+    path = tmp_path / "m.csv"
+    write_matrix(path, M)
+    rows = path.read_text().splitlines()[1:]
+    assert rows == [",".join("%.17g" % v for v in row) for row in M]
+    assert rows[0] == "-0,4.9406564584124654e-324,1e+308"
+
+
 def test_matrix_header_line(tmp_path):
     path = tmp_path / "m.csv"
     write_matrix(path, np.zeros((3, 2)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from quadland import (
+    ContractViolation,
     DegenerateDistribution,
     Gaussian,
     InvalidArgument,
@@ -212,6 +213,19 @@ def test_certify_worst_construction_is_barrier_protected():
     cert = certify_stationary_global(student, teacher, GAUSS)
     assert cert.verdict == "barrier-protected"
     assert not cert.is_full_rank
+
+
+def test_certify_degenerate_law_flat_direction_is_inconclusive():
+    # rademacher moments hide a zero-trace diagonal discrepancy: this
+    # full-rank point is stationary but off the teacher Gram
+    teacher = TeacherModel(np.eye(2))
+    student = StudentWeights(np.diag([np.sqrt(1.5), np.sqrt(0.5)]))
+    cert = certify_stationary_global(student, teacher, moments_of(Rademacher()))
+    assert cert.is_full_rank and cert.grad_norm <= 1e-12
+    assert cert.gram_gap == pytest.approx(np.sqrt(0.5))
+    assert cert.verdict == "inconclusive"
+    with pytest.raises(ContractViolation):
+        certify_stationary_global(student, teacher, GAUSS, grad_tol=np.inf)
 
 
 def test_certify_moving_point_is_inconclusive():

@@ -41,7 +41,7 @@ def converged_setup(d=2, seed=1, grad_tol=1e-9):
     data = label_dataset(sample_dataset(DIST, n, d, seed), teacher)
     init = identity_init(m, d, "m")
     assert check_init_below_barrier(init, teacher, GAUSS).below
-    config = GDConfig(objective="empirical", grad_tol=grad_tol, record_every=1)
+    config = GDConfig(grad_tol=grad_tol, record_every=1)
     return teacher, data, init, config
 
 
@@ -56,7 +56,7 @@ def test_smoothness_matches_scalar_second_derivative():
     y = (w_star * x[:, 0]) ** 2
     data = Dataset(inputs=x, labels=y, distribution_tag="manual", seed=0)
     teacher = TeacherModel(np.array([[w_star]]))
-    obj = build_objective(teacher, dataset=data)
+    obj = build_objective(teacher, data)
     w = 3.0
     want = oracles.scalar_quartic_second_derivative(w, x[:, 0], y)
     got = estimate_smoothness(StudentWeights(np.array([[w]])), obj)
@@ -67,7 +67,7 @@ def test_smoothness_matches_scalar_second_derivative():
 def test_smoothness_stable_across_probe_seeds():
     teacher = sample_teacher(DIST, 6, 3, 0)
     data = label_dataset(sample_dataset(DIST, 20, 3, 0), teacher)
-    obj = build_objective(teacher, dataset=data)
+    obj = build_objective(teacher, data)
     student = StudentWeights(np.ones((6, 3)))
     a = estimate_smoothness(student, obj, seed=0)
     b = estimate_smoothness(student, obj, seed=1)
@@ -81,7 +81,7 @@ def test_starting_at_teacher_stops_immediately():
     teacher = sample_teacher(DIST, 5, 2, 3)
     data = label_dataset(sample_dataset(DIST, 10, 2, 3), teacher)
     traj = gradient_descent(
-        StudentWeights(teacher.weights), teacher, data, GDConfig(objective="empirical")
+        StudentWeights(teacher.weights), teacher, data, GDConfig()
     )
     assert traj.termination == "grad_tol"
     assert traj.iterations == 0
@@ -98,7 +98,7 @@ def test_empirical_run_reaches_interpolation():
 
 def test_population_run_matches_teacher_gram():
     teacher, _, init, _ = converged_setup()
-    config = GDConfig(objective="population", grad_tol=1e-9, record_every=10)
+    config = GDConfig(grad_tol=1e-9, record_every=10)
     traj = gradient_descent(init, teacher, GAUSS, config)
     gap = np.linalg.norm(gram(traj.final_weights) - gram(teacher))
     assert gap <= 1e-6
@@ -115,7 +115,6 @@ def test_recorded_risks_non_increasing_under_backtracking():
 def test_inverse_smoothness_policy_descends():
     teacher, data, init, _ = converged_setup()
     config = GDConfig(
-        objective="empirical",
         step_policy=InverseSmoothness(),
         grad_tol=1e-8,
         record_every=1,
@@ -129,9 +128,7 @@ def test_inverse_smoothness_policy_descends():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_fixed_step_overflow_reports_nonfinite():
     teacher, data, init, _ = converged_setup()
-    config = GDConfig(
-        objective="empirical", step_policy=FixedStep(1e6), grad_tol=1e-12, max_iters=50
-    )
+    config = GDConfig(step_policy=FixedStep(1e6), grad_tol=1e-12, max_iters=50)
     traj = gradient_descent(init, teacher, data, config)
     assert traj.termination == "nonfinite"
 
@@ -158,7 +155,7 @@ def test_norm_bound_holds_along_trajectory():
 
 def test_trajectory_records_first_and_last_iterates():
     teacher, data, init, _ = converged_setup()
-    config = GDConfig(objective="empirical", grad_tol=1e-9, record_every=1000)
+    config = GDConfig(grad_tol=1e-9, record_every=1000)
     traj = gradient_descent(init, teacher, data, config)
     assert traj.records[0].iteration == 0
     assert traj.records[-1].iteration == traj.iterations
@@ -174,7 +171,7 @@ def test_trajectory_deterministic():
 
 def test_max_iters_termination():
     teacher, data, init, _ = converged_setup()
-    config = GDConfig(objective="empirical", grad_tol=1e-12, max_iters=3)
+    config = GDConfig(grad_tol=1e-12, max_iters=3)
     traj = gradient_descent(init, teacher, data, config)
     assert traj.termination == "max_iters"
     assert traj.iterations == 3
@@ -184,14 +181,22 @@ def test_stall_at_rounding_floor_stops_the_run():
     # no iterate reaches grad_tol = 1e-300; once an accepted Armijo step
     # leaves W bitwise unchanged, later steps cannot move it either
     teacher, data, init, _ = converged_setup(d=3)
-    config = GDConfig(objective="empirical", grad_tol=1e-300, max_iters=5000)
+    config = GDConfig(grad_tol=1e-300, max_iters=5000)
     traj = gradient_descent(init, teacher, data, config)
     assert traj.termination == "stalled"
     assert traj.iterations < 1000
     assert traj.records[-1].iteration == traj.iterations
 
 
-def test_empirical_descent_builds_no_per_call_wrappers(monkeypatch):
+def test_population_run_with_default_config_reaches_grad_tol():
+    teacher, _, init, _ = converged_setup()
+    traj = gradient_descent(init, teacher, GAUSS)
+    assert traj.termination == "grad_tol"
+    assert traj.final_record.grad_norm <= GDConfig().grad_tol
+
+
+@pytest.mark.parametrize("payload", ["dataset", "moments"])
+def test_descent_builds_no_per_call_wrappers(monkeypatch, payload):
     import sys
 
     from quadland import model
@@ -212,24 +217,14 @@ def test_empirical_descent_builds_no_per_call_wrappers(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "quadland" and getattr(module, "forward_batch", None) is forward_batch:
             monkeypatch.setattr(module, "forward_batch", counted_forward_batch)
-    traj = gradient_descent(init, teacher, data, config)
+    traj = gradient_descent(init, teacher, data if payload == "dataset" else GAUSS, config)
     assert traj.termination == "grad_tol" and traj.iterations > 20
     # a constant count, not one per risk or gradient evaluation
     assert calls["StudentWeights"] <= 2
     assert calls["forward_batch"] == 0
 
 
-def test_objective_payload_mismatch_rejected():
-    teacher, data, init, _ = converged_setup()
-    with pytest.raises(InvalidArgument):
-        gradient_descent(init, teacher, data, GDConfig(objective="population"))
-    with pytest.raises(InvalidArgument):
-        gradient_descent(init, teacher, GAUSS, GDConfig(objective="empirical"))
-
-
 def test_config_validation():
-    with pytest.raises(InvalidArgument):
-        GDConfig(objective="stochastic")
     with pytest.raises(InvalidArgument):
         GDConfig(grad_tol=0.0)
     with pytest.raises(InvalidArgument):
@@ -240,13 +235,13 @@ def test_config_validation():
         FixedStep(-1.0)
 
 
-def test_build_objective_requires_exactly_one_source():
-    teacher = sample_teacher(DIST, 4, 2, 0)
-    with pytest.raises(InvalidArgument):
-        build_objective(teacher)
-    data = label_dataset(sample_dataset(DIST, 5, 2, 0), teacher)
-    with pytest.raises(InvalidArgument):
-        build_objective(teacher, dataset=data, moments=GAUSS)
+def test_payload_must_be_dataset_or_moments():
+    teacher, data, init, _ = converged_setup()
+    for payload in (None, data.inputs, (data, GAUSS)):
+        with pytest.raises(InvalidArgument):
+            build_objective(teacher, payload)
+        with pytest.raises(InvalidArgument):
+            gradient_descent(init, teacher, payload)
 
 
 # --- stationarity report --------------------------------------------------
@@ -255,10 +250,10 @@ def test_build_objective_requires_exactly_one_source():
 def test_report_tighter_tolerance_lowers_risk():
     teacher, data, init, _ = converged_setup(grad_tol=1e-6)
     coarse = gradient_descent(
-        init, teacher, data, GDConfig(objective="empirical", grad_tol=1e-6)
+        init, teacher, data, GDConfig(grad_tol=1e-6)
     )
     fine = gradient_descent(
-        init, teacher, data, GDConfig(objective="empirical", grad_tol=1e-7)
+        init, teacher, data, GDConfig(grad_tol=1e-7)
     )
     r_coarse = epsilon_stationarity_report(coarse, teacher, data, GAUSS)
     r_fine = epsilon_stationarity_report(fine, teacher, data, GAUSS)
@@ -272,7 +267,7 @@ def test_report_exact_stationary_point_has_tiny_gap():
     teacher = sample_teacher(DIST, 5, 2, 4)
     data = label_dataset(sample_dataset(DIST, 15, 2, 4), teacher)
     traj = gradient_descent(
-        StudentWeights(teacher.weights), teacher, data, GDConfig(objective="empirical")
+        StudentWeights(teacher.weights), teacher, data, GDConfig()
     )
     report = epsilon_stationarity_report(traj, teacher, data, GAUSS)
     assert report.gram_gap <= 1e-8
@@ -284,7 +279,7 @@ def test_report_flags_rank_deficient_endpoint():
     teacher = TeacherModel(np.array([[0.0]]))
     data = label_dataset(sample_dataset(DIST, 4, 1, 5), teacher)
     traj = gradient_descent(
-        StudentWeights(np.array([[0.0]])), teacher, data, GDConfig(objective="empirical")
+        StudentWeights(np.array([[0.0]])), teacher, data, GDConfig()
     )
     report = epsilon_stationarity_report(traj, teacher, data, GAUSS)
     assert not report.endpoint_full_rank
@@ -293,7 +288,7 @@ def test_report_flags_rank_deficient_endpoint():
 def test_report_requires_grad_tol_termination():
     teacher, data, init, _ = converged_setup()
     traj = gradient_descent(
-        init, teacher, data, GDConfig(objective="empirical", grad_tol=1e-12, max_iters=2)
+        init, teacher, data, GDConfig(grad_tol=1e-12, max_iters=2)
     )
     with pytest.raises(InvalidArgument):
         epsilon_stationarity_report(traj, teacher, data, GAUSS)

@@ -236,4 +236,4 @@ def test_risk_report_rejects_inverted_bounds():
 
 def test_risk_report_serialization_keys():
     report = population_risk(np.eye(2), GAUSS)
-    assert set(report.to_json()) == {"value", "lower", "upper", "grad_norm"}
+    assert set(report.to_json()) == {"value", "lower", "upper"}
