@@ -235,11 +235,21 @@ def test_config_validation():
         FixedStep(-1.0)
 
 
-def test_payload_must_be_dataset_or_moments():
-    teacher, data, init, _ = converged_setup()
-    for payload in (None, data.inputs, (data, GAUSS)):
+def test_build_objective_requires_exactly_one_source():
+    # the payload is one Dataset or one Moments: no source, two sources
+    # and a bare input array are all rejected
+    teacher, data, _, _ = converged_setup()
+    for payload in (None, (data, GAUSS), data.inputs):
         with pytest.raises(InvalidArgument):
             build_objective(teacher, payload)
+
+
+def test_objective_payload_mismatch_rejected():
+    teacher, data, init, _ = converged_setup()
+    unlabeled = sample_dataset(DIST, data.n, teacher.d, 0)
+    other = sample_teacher(DIST, 4, teacher.d + 1, 0)
+    wrong_d = label_dataset(sample_dataset(DIST, data.n, other.d, 0), other)
+    for payload in (unlabeled, wrong_d, None, data.inputs, (data, GAUSS)):
         with pytest.raises(InvalidArgument):
             gradient_descent(init, teacher, payload)
 
