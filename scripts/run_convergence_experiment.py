@@ -6,7 +6,8 @@ the data are 5x the critical sample count, and the student starts at the
 sqrt(m)-scaled identity. Each run should end with tiny empirical risk, a
 Gram matrix matching the teacher, and a global-optimum certificate. The
 termination column says why descent stopped: "grad_tol" when the gradient
-reached --grad-tol, "stalled" when it sits at the rounding floor above it.
+reached --grad-tol (by default the library's, as for `quadland gd-run`),
+"stalled" when it sits at the rounding floor above it.
 """
 
 import argparse
@@ -62,7 +63,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--dims", type=int, nargs="+", default=[2, 3])
     parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("--grad-tol", type=float, default=1e-9)
+    parser.add_argument("--grad-tol", type=float, default=GDConfig().grad_tol)
     args = parser.parse_args()
 
     print(f"{'d':>3} {'seed':>5} {'below':>6} {'final risk':>12} {'gram gap':>11} "

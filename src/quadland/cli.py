@@ -8,7 +8,7 @@ JSON-lines plus the shared CSV matrix format; everything except the
 manifest timestamp is byte-reproducible for a fixed argv and seed.
 
 Exit codes: 0 success, 2 invalid arguments or unreadable inputs, 1 when
-a runtime contract or certification fails.
+a runtime contract or certification fails or a descent run diverges.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _positive(raw: str) -> float:
 def _choice(*allowed: str) -> Callable[[str], str]:
     def cast(raw: str) -> str:
         if raw not in allowed:
-            raise InvalidArgument(f"expected one of {allowed}, got {raw!r}")
+            raise ValueError(raw)
         return raw
 
     return cast
@@ -270,6 +270,8 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
     else:
         payload = moments
     trajectory = gradient_descent(init, teacher, payload, gd_config)
+    if trajectory.termination == "nonfinite":
+        raise NonfiniteValue(f"descent diverged after {trajectory.iterations} iterations")
     # certification reads the population gradient, which an empirical run
     # only drives to ~ grad_tol * norm factors; certify at the gram scale
     certificate = certify_stationary_global(
@@ -451,7 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options in _OPTIONS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", default=None, help="flat key = value config file")
         for opt in options:
             p.add_argument(f"--{opt.key}", dest=opt.dest, default=None, help=opt.help)

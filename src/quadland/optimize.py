@@ -34,12 +34,13 @@ from .model import (
     is_full_rank,
     moments_of,
     parse_distribution,
+    quadform,
     truncated_moments,
 )
 from .risk import (
     _raw_empirical_gradient,
-    _raw_empirical_risk,
     _raw_population_gradient,
+    _residuals,
     _require_square_activation,
     empirical_risk,
     population_risk,
@@ -53,7 +54,14 @@ SMOOTHNESS_SUBSTREAM = 2
 _SMOOTHNESS_ROUNDS = 30
 _SMOOTHNESS_RTOL = 1e-3
 
+# Armijo starts a run at step _INITIAL_ETA, shrinks a rejected step by
+# _SHRINK, accepts once the risk drops by _SLOPE * eta * |grad|^2, and is
+# exhausted below _STALL_ETA. InverseSmoothness steps by 1/(_SAFETY * L_hat).
+_INITIAL_ETA = 1.0
+_SHRINK = 0.5
+_SLOPE = 1e-4
 _STALL_ETA = 1e-30
+_SAFETY = 4.0
 
 
 # --------------------------------------------------------------------------
@@ -74,34 +82,13 @@ class FixedStep:
 
 @dataclass(frozen=True)
 class InverseSmoothness:
-    """Step 1/(safety * L_hat) with L_hat the estimated Hessian norm.
-
-    safety >= 2 realizes a step below 1/(2L); the default 4 leaves margin
-    for the estimate being local rather than a sublevel supremum.
-    """
-
-    safety: float = 4.0
-
-    def __post_init__(self):
-        if self.safety < 2.0:
-            raise InvalidArgument("safety divisor must be at least 2")
+    """Step 1/(4 L_hat), L_hat the estimated Hessian norm: below 1/(2L), with
+    margin for the estimate being local rather than a sublevel supremum."""
 
 
 @dataclass(frozen=True)
 class Backtracking:
-    """Armijo line search: accept eta once risk drops by slope * eta * |grad|^2."""
-
-    shrink: float = 0.5
-    slope: float = 1e-4
-    initial_eta: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.shrink < 1.0:
-            raise InvalidArgument("shrink factor must lie in (0, 1)")
-        if not 0.0 < self.slope < 1.0:
-            raise InvalidArgument("slope must lie in (0, 1)")
-        if not self.initial_eta > 0:
-            raise InvalidArgument("initial step must be positive")
+    """Armijo line search: accept eta once risk drops by 1e-4 eta |grad|^2."""
 
 
 StepPolicy = FixedStep | InverseSmoothness | Backtracking
@@ -128,14 +115,16 @@ class GDConfig:
 
 @dataclass(frozen=True)
 class Objective:
-    """Risk and gradient closures over raw weight matrices.
+    """Closures over raw weight matrices, which they do not validate.
 
-    The closures do not validate their argument: gradient_descent checks
-    the initial weights once and every iterate for finiteness.
+    evaluate(W) gives the risk and a state, the residuals (empirical) or
+    W^T W (population); the gradient W S(state) and the exact Hessian
+    product hvp(W, state, V) = V S(state) + W dS[W^T V + V^T W] reuse it.
     """
 
-    risk: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    evaluate: Callable[[np.ndarray], tuple[float, np.ndarray]]
+    gradient: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    hvp: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 def build_objective(teacher: TeacherModel, data_or_moments: Dataset | Moments) -> Objective:
@@ -149,32 +138,45 @@ def build_objective(teacher: TeacherModel, data_or_moments: Dataset | Moments) -
                 f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
             )
         X, y = dataset.inputs, dataset.labels
+
+        def evaluate(W):
+            r = _residuals(W, X, y)
+            return float(np.mean(r * r)), r
+
         return Objective(
-            risk=lambda W: _raw_empirical_risk(W, X, y),
-            gradient=lambda W: _raw_empirical_gradient(W, X, y),
+            evaluate=evaluate,
+            gradient=lambda W, r: _raw_empirical_gradient(W, X, r),
+            hvp=lambda W, r, V: _raw_empirical_gradient(V, X, r)
+            + _raw_empirical_gradient(W, X, quadform(X, W.T @ V + V.T @ W)),
         )
     if isinstance(data_or_moments, Moments):
         moments = data_or_moments
         _require_square_activation(teacher)
-        Gs = gram(teacher)
+        Gs, zero = gram(teacher), np.zeros((teacher.d, teacher.d))
+
+        def evaluate(W):
+            G = _gram_matrix(W)
+            return population_risk(Gs - G, moments).value, G
+
         return Objective(
-            risk=lambda W: population_risk(Gs - _gram_matrix(W), moments).value,
-            gradient=lambda W: _raw_population_gradient(W, Gs, moments),
+            evaluate=evaluate,
+            gradient=lambda W, G: _raw_population_gradient(W, G, Gs, moments),
+            hvp=lambda W, G, V: _raw_population_gradient(V, G, Gs, moments)
+            + _raw_population_gradient(W, W.T @ V + V.T @ W, zero, moments),
         )
     raise InvalidArgument("expected a Dataset or Moments")
 
 
 def estimate_smoothness(student: StudentWeights, objective: Objective, seed: int = 0) -> float:
-    """Hessian spectral norm at the current point by power iteration on
-    central-difference Hessian-vector products."""
+    """Hessian spectral norm at W by power iteration on exact Hessian-vector products."""
     W = student.weights
+    _, state = objective.evaluate(W)
     gen = _rng.stream(seed, SMOOTHNESS_SUBSTREAM)
     v = _rng.standard_normal(gen, W.shape)
     v /= np.linalg.norm(v)
-    h = 1e-5 * (1.0 + float(np.abs(W).max()))
     lam = 0.0
     for _ in range(_SMOOTHNESS_ROUNDS):
-        u = (objective.gradient(W + h * v) - objective.gradient(W - h * v)) / (2.0 * h)
+        u = objective.hvp(W, state, v)
         if not np.all(np.isfinite(u)):
             raise NonfiniteValue("Hessian-vector product is not finite")
         lam_new = float(np.linalg.norm(u))
@@ -253,6 +255,7 @@ def _barrier_context(teacher: TeacherModel, data_or_moments: Dataset | Moments):
     return barrier, base
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def gradient_descent(
     initial: StudentWeights,
     teacher: TeacherModel,
@@ -265,10 +268,9 @@ def gradient_descent(
     Moments the closed-form population risk.
     The recorded risk sequence is non-increasing under the backtracking and
     inverse-smoothness policies; a violation raises ContractViolation. Non-
-    finite values abort the run with termination reason "nonfinite". An
-    accepted step that leaves W bitwise unchanged (the gradient is at the
-    rounding floor of the risk) stops the run as "stalled" instead of
-    spinning until max_iters.
+    finite values end the run as "nonfinite", without overflow warnings; a
+    gradient at the rounding floor of the risk ends it as "stalled" (the line
+    search finds no step, or the step leaves W bitwise unchanged).
     """
     obj = build_objective(teacher, data_or_moments)
     barrier, base_moments = _barrier_context(teacher, data_or_moments)
@@ -276,8 +278,8 @@ def gradient_descent(
         raise InvalidArgument("initial weights do not match the teacher dimension")
 
     W = initial.weights.copy()
-    risk = obj.risk(W)
-    grad = obj.gradient(W)
+    risk, state = obj.evaluate(W)
+    grad = obj.gradient(W, state)
     norm_cap = (
         sublevel_norm_bound(risk, teacher, base_moments)
         if base_moments is not None
@@ -302,7 +304,7 @@ def gradient_descent(
         )
 
     policy = config.step_policy
-    eta_prev = policy.initial_eta if isinstance(policy, Backtracking) else None
+    eta_prev = _INITIAL_ETA
     smoothness = None
     termination = "max_iters"
     k = 0
@@ -321,23 +323,21 @@ def gradient_descent(
             break
 
         if isinstance(policy, FixedStep):
-            eta = policy.eta
-            W_new = W - eta * grad
-            risk_new = obj.risk(W_new)
+            step = _try_step(obj, W, grad, policy.eta)
         elif isinstance(policy, Backtracking):
-            eta_start = min(policy.initial_eta, eta_prev / policy.shrink)
-            eta, W_new, risk_new = _armijo(
-                obj, W, risk, grad, grad_norm_sq, policy, eta_start
-            )
-            eta_prev = eta
+            eta_start = min(_INITIAL_ETA, eta_prev / _SHRINK)
+            step = _armijo(obj, W, risk, grad, grad_norm_sq, eta_start)
         else:  # InverseSmoothness
-            if smoothness is None:
-                smoothness = estimate_smoothness(StudentWeights(W), obj)
-            eta, W_new, risk_new, smoothness = _inverse_smoothness_step(
-                obj, W, risk, grad, grad_norm_sq, policy, smoothness
-            )
+            step, smoothness = _smoothness_step(obj, W, risk, grad, grad_norm_sq, smoothness)
+        # no acceptable step, or one that leaves W bitwise unchanged: the
+        # gradient is at the rounding floor of the risk
+        if step is None or np.array_equal(step[1], W):
+            termination = "stalled"
+            break
+        eta, W_new, risk_new, state_new = step
+        eta_prev = eta
 
-        if not (np.all(np.isfinite(W_new)) and math.isfinite(risk_new)):
+        if not math.isfinite(risk_new):  # also when W_new overflowed
             termination = "nonfinite"
             break
         if not isinstance(policy, FixedStep):
@@ -346,11 +346,8 @@ def gradient_descent(
                     f"risk increased from {risk:.6e} to {risk_new:.6e} "
                     "under a descent-guaranteed policy"
                 )
-        if np.array_equal(W_new, W):
-            termination = "stalled"
-            break
         W, risk = W_new, risk_new
-        grad = obj.gradient(W)
+        grad = obj.gradient(W, state_new)
         k += 1
         if k % config.record_every == 0:
             record(k, eta)
@@ -366,32 +363,34 @@ def gradient_descent(
     )
 
 
-def _armijo(obj, W, risk, grad, grad_norm_sq, policy, eta_start):
-    eta = eta_start
+def _try_step(obj, W, grad, eta):
+    """(eta, W - eta grad, risk, state); the risk is inf if the point overflows."""
+    W_new = W - eta * grad
+    if not np.all(np.isfinite(W_new)):
+        return eta, W_new, math.inf, None
+    return (eta, W_new, *obj.evaluate(W_new))
+
+
+def _armijo(obj, W, risk, grad, grad_norm_sq, eta):
+    """The first step eta * _SHRINK^k passing Armijo's test; None below _STALL_ETA."""
     while eta > _STALL_ETA:
-        W_new = W - eta * grad
-        risk_new = obj.risk(W_new) if np.all(np.isfinite(W_new)) else math.inf
-        if math.isfinite(risk_new) and risk_new <= risk - policy.slope * eta * grad_norm_sq:
-            return eta, W_new, risk_new
-        eta *= policy.shrink
-    raise ContractViolation("backtracking line search stalled")
+        step = _try_step(obj, W, grad, eta)
+        if math.isfinite(step[2]) and step[2] <= risk - _SLOPE * eta * grad_norm_sq:
+            return step
+        eta *= _SHRINK
+    return None
 
 
-def _inverse_smoothness_step(obj, W, risk, grad, grad_norm_sq, policy, smoothness):
+def _smoothness_step(obj, W, risk, grad, grad_norm_sq, smoothness):
     for attempt in range(2):
-        if smoothness > 0:
-            eta = 1.0 / (policy.safety * smoothness)
-            W_new = W - eta * grad
-            risk_new = obj.risk(W_new) if np.all(np.isfinite(W_new)) else math.inf
-            if math.isfinite(risk_new) and risk_new <= risk + 1e-12 * max(1.0, abs(risk)):
-                return eta, W_new, risk_new, smoothness
-        if attempt == 0:
+        if smoothness is None or attempt == 1:
             smoothness = estimate_smoothness(StudentWeights(W), obj)
+        if smoothness > 0:
+            step = _try_step(obj, W, grad, 1.0 / (_SAFETY * smoothness))
+            if math.isfinite(step[2]) and step[2] <= risk + 1e-12 * max(1.0, abs(risk)):
+                return step, smoothness
     # local estimate failed twice; fall back to a guaranteed Armijo step
-    eta, W_new, risk_new = _armijo(
-        obj, W, risk, grad, grad_norm_sq, Backtracking(), Backtracking().initial_eta
-    )
-    return eta, W_new, risk_new, smoothness
+    return _armijo(obj, W, risk, grad, grad_norm_sq, _INITIAL_ETA), smoothness
 
 
 # --------------------------------------------------------------------------

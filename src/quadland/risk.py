@@ -46,7 +46,8 @@ class RiskReport:
     upper_bound: float | None = None
 
     def __post_init__(self):
-        if self.lower_bound is not None and self.upper_bound is not None:
+        bounded = self.lower_bound is not None and self.upper_bound is not None
+        if bounded and np.isfinite(self.value):  # an overflowed value is reported as is
             slack = 1e-9 * max(1.0, abs(self.value))
             if not (self.lower_bound - slack <= self.value <= self.upper_bound + slack):
                 raise ContractViolation(
@@ -77,15 +78,8 @@ def _residuals(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return quadform(X, _gram_matrix(W)) - y
 
 
-def _raw_empirical_risk(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """empirical_risk on raw arrays, without validation."""
-    r = _residuals(W, X, y)
-    return float(np.mean(r * r))
-
-
-def _raw_empirical_gradient(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """empirical_gradient on raw arrays, without validation."""
-    r = _residuals(W, X, y)
+def _raw_empirical_gradient(W: np.ndarray, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """W S with S = (4/N) sum r_i X_i X_i^T linear in r, on raw arrays, unvalidated."""
     S = (4.0 / X.shape[0]) * (X * r[:, None]).T @ X
     return W @ (0.5 * (S + S.T))
 
@@ -93,13 +87,15 @@ def _raw_empirical_gradient(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.n
 def empirical_risk(student: StudentWeights, dataset: Dataset) -> float:
     """Mean squared residual (1/N) sum (Y_i - ||W X_i||^2)^2."""
     _check_empirical(student, dataset)
-    return _raw_empirical_risk(student.weights, dataset.inputs, dataset.labels)
+    r = _residuals(student.weights, dataset.inputs, dataset.labels)
+    return float(np.mean(r * r))
 
 
 def empirical_gradient(student: StudentWeights, dataset: Dataset) -> np.ndarray:
     """Exact gradient W S with S = (4/N) sum r_i X_i X_i^T, r_i the residuals."""
     _check_empirical(student, dataset)
-    return _raw_empirical_gradient(student.weights, dataset.inputs, dataset.labels)
+    W, X = student.weights, dataset.inputs
+    return _raw_empirical_gradient(W, X, _residuals(W, X, dataset.labels))
 
 
 def population_risk(disc: Discrepancy | np.ndarray, moments: Moments) -> RiskReport:
@@ -133,9 +129,10 @@ def population_risk_of(
     return population_risk(discrepancy(teacher, student), moments)
 
 
-def _raw_population_gradient(W: np.ndarray, Gs: np.ndarray, moments: Moments) -> np.ndarray:
-    """population_gradient on raw arrays against the teacher Gram Gs, without validation."""
-    G = _gram_matrix(W)
+def _raw_population_gradient(
+    W: np.ndarray, G: np.ndarray, Gs: np.ndarray, moments: Moments
+) -> np.ndarray:
+    """W S with S linear in the student and teacher Grams G, Gs, unvalidated."""
     mu2, mu4 = moments.mu2, moments.mu4
     diag_diff = np.diag(G) - np.diag(Gs)
     term_diag = (mu4 - 3.0 * mu2 * mu2) * (W * diag_diff[None, :])
@@ -160,4 +157,5 @@ def population_gradient(
     _require_square_activation(teacher)
     if teacher.d != student.d:
         raise InvalidArgument(f"dimension mismatch: teacher d={teacher.d}, student d={student.d}")
-    return _raw_population_gradient(student.weights, gram(teacher), moments)
+    W = student.weights
+    return _raw_population_gradient(W, _gram_matrix(W), gram(teacher), moments)

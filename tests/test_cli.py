@@ -145,11 +145,17 @@ def test_flag_beats_config_file(tmp_path):
 def test_unknown_flag_exits_2(capsys):
     assert main(["gd-run", "--bogus", "1"]) == 2
     capsys.readouterr()
+    # no prefix matching: an abbreviation is an unknown flag, not a guess
+    for argv in (["gd-run", "--obj", "population"], ["gd-run", "--init", "identity"]):
+        assert main(argv) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bad_value_exits_2(tmp_path, capsys):
     assert main(["init-check", "--seeds", "zero"]) == 2
     assert "seeds" in capsys.readouterr().err
+    assert main(["gd-run", "--init-scale", "identity", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: bad value for --init-scale: 'identity'\n"
     for tag in ("gaussian(abc)", "uniform(x)"):
         assert main(["init-check", "--dist", tag, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
@@ -175,6 +181,27 @@ def test_gd_run_on_degenerate_law_reports_no_barrier(tmp_path, capsys):
     assert all(json.loads(line)["below_barrier"] is None
                for line in (tmp_path / "results.jsonl").read_text().splitlines())
     capsys.readouterr()
+
+
+def test_exhausted_line_search_ends_run_as_stalled(tmp_path, capsys):
+    # the population risk of a degenerate law cancels to its rounding floor
+    # before the gradient reaches grad_tol; the run stops instead of failing
+    argv = ["gd-run", "--objective", "population", "--dist", "rademacher"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    summary = read_json(tmp_path / "summary.json")
+    assert summary["termination"] == "stalled"
+    assert summary["verdict"] == "inconclusive"
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("objective", ["empirical", "population"])
+@pytest.mark.filterwarnings("error")
+def test_diverged_run_exits_1(tmp_path, capsys, objective):
+    argv = ["gd-run", "--policy", "fixed", "--eta", "10", "--objective", objective]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("contract failure: descent diverged")
+    assert len(err.splitlines()) == 1
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
