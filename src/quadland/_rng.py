@@ -15,6 +15,7 @@ from scipy.special import ndtri
 from .errors import InvalidArgument
 
 _MANTISSA = 1 << 53
+_ULP = 2.0 ** -53  # 1 / _MANTISSA; scaling by a power of two is exact
 
 
 def stream(seed: int, substream: int = 0) -> np.random.Generator:
@@ -29,7 +30,7 @@ def stream(seed: int, substream: int = 0) -> np.random.Generator:
 
 def open_uniform(gen: np.random.Generator, shape) -> np.ndarray:
     """Uniforms on the open interval (0, 1); endpoints are never hit."""
-    return gen.integers(1, _MANTISSA, size=shape).astype(np.float64) / float(_MANTISSA)
+    return np.multiply(gen.integers(1, _MANTISSA, size=shape), _ULP)
 
 
 def standard_normal(gen: np.random.Generator, shape) -> np.ndarray:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
+import logging.handlers
 import os
 import sys
 from dataclasses import dataclass
@@ -248,6 +250,8 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
         if cfg["eta"] is None:
             raise InvalidArgument("--policy fixed requires --eta")
         policy = FixedStep(cfg["eta"])
+    elif cfg["eta"] is not None:
+        raise InvalidArgument(f"--eta applies only to --policy fixed, not {cfg['policy']}")
     elif cfg["policy"] == "inverse-smoothness":
         policy = InverseSmoothness()
     else:
@@ -395,10 +399,14 @@ def _cmd_recovery(cfg: dict[str, Any]) -> dict[str, Any]:
         direct = gram(student) - gram(teacher)
         return rec, float(np.linalg.norm(rec.m_hat - direct))
 
-    rec, err = run(cfg["scale"])
-    rec_half, _ = run(cfg["scale"] / 2.0)
-    full_norm = float(np.linalg.norm(rec.m_hat))
-    half_norm = float(np.linalg.norm(rec_half.m_hat))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            rec, err = run(cfg["scale"])
+            rec_half, _ = run(cfg["scale"] / 2.0)
+            full_norm = float(np.linalg.norm(rec.m_hat))
+            half_norm = float(np.linalg.norm(rec_half.m_hat))
+    except FloatingPointError:
+        raise InvalidArgument(f"--scale {cfg['scale']!r} overflows the recovered Gram") from None
     out = _out_dir(cfg)
     write_matrix(out / "recovered_discrepancy.csv", rec.m_hat)
     return {
@@ -446,8 +454,14 @@ _COMMANDS: dict[str, Callable[[dict[str, Any]], dict[str, Any]]] = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one stderr line like every other bad input, not argparse's usage block
+        raise InvalidArgument(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="quadland",
         description="teacher-student quadratic-network landscape experiments",
     )
@@ -461,11 +475,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Hold the package's warnings until the run ends: a failed run prints
+    # only its one error line, a finished run one line for all of them.
+    logger = logging.getLogger("quadland")
+    held = logging.handlers.BufferingHandler(capacity=sys.maxsize)
+    held.setLevel(logging.WARNING)
+    logger.addHandler(held)
+    propagate, logger.propagate = logger.propagate, False
+    try:
+        code = _run(argv)
+    finally:
+        logger.removeHandler(held)
+        logger.propagate = propagate
+    if code == 0 and held.buffer:
+        more = len(held.buffer) - 1
+        tail = f" (and {more} more)" if more else ""
+        print(f"warning: {held.buffer[0].getMessage()}{tail}", file=sys.stderr)
+    return code
+
+
+def _run(argv: list[str] | None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
         cfg = _resolve(ns, _OPTIONS[ns.command])
         summary = _COMMANDS[ns.command](cfg)
         out = _out_dir(cfg)
@@ -474,6 +505,8 @@ def main(argv: list[str] | None = None) -> int:
         write_json(out / "summary.json", summary)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except InvalidArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -26,8 +26,8 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _gram_certifies_full_rank,
     _rank_of,
-    gram,
 )
 from .risk import empirical_risk, population_risk_of
 
@@ -71,9 +71,10 @@ def sample_teacher(
     gen = _rng.stream(seed, TEACHER_SUBSTREAM)
     weights = distribution.sample(gen, (m, d))
     teacher = TeacherModel(weights)
-    rank = _rank_of(teacher.singular_values)
-    if rank < d:
-        logger.warning("sampled teacher is rank-deficient: rank %d < d=%d", rank, d)
+    if not _gram_certifies_full_rank(teacher.gram_eigenvalues):
+        rank = _rank_of(teacher.singular_values)
+        if rank < d:
+            logger.warning("sampled teacher is rank-deficient: rank %d < d=%d", rank, d)
     return teacher
 
 
@@ -123,9 +124,8 @@ def wishart_spectrum_report(teacher: TeacherModel) -> SpectrumReport:
     The statistic is (1/d) sum mu_i^2 for the eigenvalues mu_i of
     (G - mI)/(2 sqrt(md)); its large-(m,d) limit is 1/4.
     """
-    G = gram(teacher)
     m, d = teacher.m, teacher.d
-    lam = np.linalg.eigvalsh(G)
+    lam = teacher.gram_eigenvalues
     mu = (lam - m) / (2.0 * math.sqrt(m * d))
     lo = math.sqrt(m) - 2.0 * math.sqrt(d)
     hi = math.sqrt(m) + 2.0 * math.sqrt(d)

@@ -28,6 +28,12 @@ from .errors import DegenerateDistribution, InvalidArgument
 
 RANK_RTOL = 1e-10
 
+# Gram eigenvalues at or above this share of max(1, lambda_max) prove full
+# column rank without an SVD: lambda = sigma^2, so the rule certifies
+# sigma_min >= 1e-4 max(1, sigma_max), 10^6 times the RANK_RTOL threshold
+# and far above the rounding error of forming W^T W and its eigenvalues.
+GRAM_RANK_RTOL = 1e-8
+
 _DEFAULT_ACTIVATION = (1.0, 0.0, 0.0)
 
 
@@ -41,6 +47,15 @@ def _rank_of(s: np.ndarray) -> int:
     if s.size == 0:
         return 0
     return int(np.count_nonzero(s > rank_tolerance(float(s[0]))))
+
+
+def _gram_certifies_full_rank(lam: np.ndarray) -> bool:
+    """True when ascending Gram eigenvalues prove full column rank.
+
+    False means only that the Gram cannot decide; the singular values then
+    do, through _rank_of.
+    """
+    return lam.size > 0 and float(lam[0]) >= GRAM_RANK_RTOL * max(1.0, float(lam[-1]))
 
 
 def numerical_rank(matrix: np.ndarray) -> int:
@@ -341,11 +356,25 @@ class TeacherModel:
         return self.weights.shape[1]
 
     @cached_property
+    def gram_eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of gram(self), ascending and read-only.
+
+        Computed once per teacher, like singular_values, but from the d x d
+        Gram: enough for the spectrum report and, in most cases, for the
+        full-rank check (_gram_certifies_full_rank).
+        """
+        lam = np.linalg.eigvalsh(gram(self))
+        lam.setflags(write=False)
+        return lam
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
         """Singular values of the absorbed weights, descending and read-only.
 
-        Computed once per teacher; the weights are frozen, so the cache
-        cannot go stale.
+        A full SVD of the m x d weights, so it runs only when a caller needs
+        sigma_min (the energy barrier and its report) or when the Gram
+        eigenvalues cannot decide the rank. Computed once per teacher; the
+        weights are frozen, so the cache cannot go stale.
         """
         s = np.linalg.svd(absorb_output_weights(self).weights, compute_uv=False)
         s.setflags(write=False)

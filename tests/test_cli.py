@@ -2,13 +2,16 @@ import json
 import subprocess
 import sys
 import types
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import quadland.landscape
 from quadland import moments_of, parse_distribution, rank_deficient_sweep, sample_teacher
-from quadland.cli import main
+from quadland.cli import _OPTIONS, main
 
 
 def read_json(path: Path) -> dict:
@@ -160,14 +163,36 @@ def test_bad_value_exits_2(tmp_path, capsys):
         assert main(["init-check", "--dist", tag, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert tag in err and len(err.splitlines()) == 1
-    # parameters whose moments overflow, and seeds past 2^64 - 1
+    # parameters whose moments or recovered Gram overflow, seeds past 2^64 - 1
     for argv in (
         ["init-check", "--dist", "uniform(1e308)"],
         ["init-check", "--dist", "gaussian(1e200)"],
         ["init-check", "--seeds", "3", "--seed", "18446744073709551615"],
+        ["recovery", "--scale", "1e300"],
     ):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         assert len(capsys.readouterr().err.splitlines()) == 1
+    # a step size the chosen policy would ignore
+    for argv in (
+        ["gd-run", "--eta", "0.5"],
+        ["gd-run", "--policy", "backtracking", "--eta", "0.5"],
+        ["gd-run", "--policy", "inverse-smoothness", "--eta", "0.5"],
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "--eta" in err and len(err.splitlines()) == 1
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_warnings_print_one_line_and_only_on_success(tmp_path, capsys):
+    # both teachers are rank-deficient: every entry is below RANK_RTOL
+    argv = ["--d", "2", "--m", "3", "--teacher-dist", "uniform(1e-300)", "--out", str(tmp_path)]
+    assert main(["spectrum", "--seeds", "2"] + argv) == 0
+    assert capsys.readouterr().err == (
+        "warning: sampled teacher is rank-deficient: rank 0 < d=2 (and 1 more)\n"
+    )
+    assert main(["init-check", "--seeds", "2"] + argv) == 2
+    assert capsys.readouterr().err == "error: teacher weights are rank-deficient\n"
 
 
 def test_gd_run_on_degenerate_law_reports_no_barrier(tmp_path, capsys):
@@ -244,3 +269,49 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert read_json(tmp_path / "summary.json")["n_star"] == 3
+
+
+# --- exit-code contract under arbitrary argv --------------------------------
+
+# Every size flag a subcommand takes is always given a tiny value, so no
+# example falls back to a paper-scale default; the extra flags may override
+# any of them with a bad token.
+_SIZES = {"d": 4, "m": 12, "mhat": 12, "N": 12, "seeds": 3, "trials": 3, "max-iters": 40}
+_TOKENS = (
+    "0", "1", "2", "-1", "1.5", "x", "", "nan", "inf", "1e300", "1e-300",
+    "gaussian", "gaussian(0)", "uniform(-1)", "uniform(1e-300)", "rademacher",
+    "fixed", "population", "random", "m_plus_4d",
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    keys = [opt.key for opt in _OPTIONS[command]]
+    argv = [command]
+    for key in keys:
+        if key in _SIZES:
+            argv += [f"--{key}", str(draw(st.integers(1, _SIZES[key])))]
+    extras = [k for k in keys if k != "out"] + ["config", "bogus"]
+    for _ in range(draw(st.integers(0, 3))):
+        argv += [f"--{draw(st.sampled_from(extras))}", draw(st.sampled_from(_TOKENS))]
+    if draw(st.booleans()):
+        argv.append(draw(st.sampled_from(_TOKENS)))
+    return argv
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+def test_any_argv_exits_0_1_or_2_with_one_line(argv, tmp_path, capsys):
+    # warnings would reach stderr in a real run, so they count as lines
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv + ["--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
+    lines = err.splitlines() + [str(w.message) for w in caught]
+    assert len(lines) <= 1, (argv, lines)
+    # a failure explains itself; a success prints no error
+    assert (code == 0) == (not err.startswith(("error:", "contract failure:"))), (argv, err)

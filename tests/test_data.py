@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from quadland import (
     Dataset,
@@ -13,6 +14,7 @@ from quadland import (
     parse_distribution,
     sample_dataset,
 )
+from quadland import _rng
 from quadland.model import StudentWeights
 
 import oracles
@@ -24,6 +26,16 @@ def test_sampling_is_deterministic():
     assert np.array_equal(a.inputs, b.inputs)
     c = sample_dataset(Gaussian(1.0), 5, 3, seed=8)
     assert not np.array_equal(a.inputs, c.inputs)
+
+
+def test_uniforms_are_the_53_bit_integers_scaled_exactly():
+    # scaling by 2^-53 is exact, so every uniform (and every inverse-CDF
+    # normal drawn from it) is the integer draw divided by 2^53
+    shape = (400, 40)
+    ints = _rng.stream(5, 1).integers(1, 2 ** 53, size=shape)
+    want = ints.astype(np.float64) / float(2 ** 53)
+    assert np.array_equal(_rng.open_uniform(_rng.stream(5, 1), shape), want)
+    assert np.array_equal(_rng.standard_normal(_rng.stream(5, 1), shape), ndtri(want))
 
 
 def test_rademacher_entries_are_signs():

@@ -1,9 +1,11 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from quadland import (
+    Custom,
     Gaussian,
     InvalidArgument,
     SEMICIRCLE_SECOND_MOMENT,
@@ -48,6 +50,33 @@ def test_init_check_takes_one_teacher_svd(monkeypatch):
     )
     assert report.sigma_min_teacher > 0
     assert calls == [(40, 4)]
+
+
+def test_spectrum_takes_no_teacher_svd(monkeypatch):
+    # a full-rank teacher is certified from its Gram eigenvalues, which the
+    # spectrum report reads too
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    report = wishart_spectrum_report(sample_teacher(DIST, 400, 8, 0))
+    assert report.lambda_min > 0
+    assert calls == []
+
+
+def test_rank_deficient_teacher_is_logged(caplog):
+    ones = Custom(mu2=1.0, mu4=1.0, sampler=lambda gen, shape: np.ones(shape), name="ones")
+    with caplog.at_level(logging.WARNING, logger="quadland.initialization"):
+        sample_teacher(DIST, 40, 4, 3)
+        assert caplog.records == []
+        sample_teacher(ones, 40, 4, 3)
+    assert [r.getMessage() for r in caplog.records] == [
+        "sampled teacher is rank-deficient: rank 1 < d=4"
+    ]
 
 
 def test_sample_teacher_rejects_wide_shape():

@@ -22,7 +22,7 @@ from quadland import (
     quadform,
     truncated_moments,
 )
-from quadland.model import is_full_rank, numerical_rank
+from quadland.model import _gram_certifies_full_rank, _rank_of, is_full_rank, numerical_rank
 
 import oracles
 import reference_values as ref
@@ -319,6 +319,56 @@ def test_numerical_rank_and_tolerance():
     deficient = np.array([[1.0, 0.0], [0.0, 1e-14]])
     assert numerical_rank(deficient) == 1
     assert not is_full_rank(deficient)
+
+
+def _rank_cases() -> dict[str, np.ndarray]:
+    w = np.random.default_rng(31).standard_normal((60, 4))
+    duplicated = w.copy()
+    duplicated[:, 3] = w[:, 2]
+    near = w.copy()
+    near[:, 3] = w[:, 2] + 1e-6 * np.random.default_rng(32).standard_normal(60)
+    return {
+        "full": w,
+        "duplicated": duplicated,
+        # sigma_min ~ 6e-9 > RANK_RTOL: full rank, which only the SVD can see
+        "tiny": 1e-9 * w,
+        # sigma_max ~ 8e-12 < RANK_RTOL: rank 0, though lambda_min / lambda_max
+        # is far above GRAM_RANK_RTOL; the max(1, .) floor keeps it undecided
+        "tinier": 1e-12 * w,
+        # sigma_min / sigma_max ~ 5e-7: inside the band the Gram cannot decide
+        "near": near,
+    }
+
+
+@pytest.mark.parametrize(
+    "case, certified, full",
+    [
+        ("full", True, True),
+        ("duplicated", False, False),
+        ("tiny", False, True),
+        ("tinier", False, False),
+        ("near", False, True),
+    ],
+)
+def test_gram_rank_rule_agrees_with_singular_values(case, certified, full):
+    # a certificate is never wrong (certified implies full), and where none
+    # is given the singular values decide
+    teacher = TeacherModel(_rank_cases()[case])
+    assert _gram_certifies_full_rank(teacher.gram_eigenvalues) == certified
+    assert (_rank_of(teacher.singular_values) == teacher.d) == full
+
+
+def test_gram_eigenvalues_cached_ascending_and_read_only():
+    w = rng.standard_normal((12, 3))
+    teacher = TeacherModel(w, output_weights=np.full(12, 4.0))
+    lam = teacher.gram_eigenvalues
+    assert lam is teacher.gram_eigenvalues
+    assert np.all(np.diff(lam) >= 0)
+    assert np.array_equal(lam, np.linalg.eigvalsh(gram(teacher)))
+    # output weights enter as in the absorbed weights the SVD sees
+    assert np.allclose(lam[::-1], teacher.singular_values ** 2, rtol=1e-12)
+    with pytest.raises(ValueError):
+        lam[0] = 0.0
 
 
 @settings(max_examples=30)
