@@ -460,7 +460,9 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgument(message)
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand name, and the flags of `command` alone: argparse
+    hands the rest of argv to the subcommand its first positional names."""
     parser = _Parser(
         prog="quadland",
         description="teacher-student quadratic-network landscape experiments",
@@ -468,6 +470,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, options in _OPTIONS.items():
         p = sub.add_parser(name, allow_abbrev=False)
+        if name != command:
+            continue
         p.add_argument("--config", default=None, help="flat key = value config file")
         for opt in options:
             p.add_argument(f"--{opt.key}", dest=opt.dest, default=None, help=opt.help)
@@ -495,8 +499,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no value-bearing flag, so its first
+    # positional is the first token without a leading dash
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser(command).parse_args(argv)
         cfg = _resolve(ns, _OPTIONS[ns.command])
         summary = _COMMANDS[ns.command](cfg)
         out = _out_dir(cfg)

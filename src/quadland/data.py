@@ -17,9 +17,9 @@ from .model import (
     _DEFAULT_ACTIVATION,
     Distribution,
     TeacherModel,
+    _absorbed,
+    _QuadraticDesign,
     forward_batch,
-    gram,
-    quadform,
 )
 
 # Substream IDs so data and teacher draws at the same seed stay independent.
@@ -79,17 +79,18 @@ def sample_dataset(distribution: Distribution, n: int, d: int, seed: int) -> Dat
 def label_dataset(dataset: Dataset, teacher: TeacherModel) -> Dataset:
     """Attach labels Y_i = f(teacher; X_i).
 
-    A pure-square teacher labels through its output-weighted Gram,
-    Y_i = X_i^T G* X_i, the form students are evaluated in, so a student
-    equal to the teacher has exactly zero residual. Other activations
-    label through forward_batch.
+    A pure-square teacher labels through the upper coordinates of its
+    output-weighted Gram, Y_i = X_i^T G* X_i, by the same arithmetic that
+    evaluates students (_QuadraticDesign.gram_forms), so a student equal to
+    the teacher has exactly zero residual. Other activations label through
+    forward_batch.
     """
     if dataset.d != teacher.d:
         raise InvalidArgument(
             f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
         )
     if teacher.activation == _DEFAULT_ACTIVATION:
-        labels = quadform(dataset.inputs, gram(teacher))
+        labels = _QuadraticDesign(dataset.inputs).gram_forms(_absorbed(teacher))
     else:
         labels = forward_batch(teacher, dataset.inputs)
     return Dataset(

@@ -8,7 +8,8 @@ solution is the Gram discrepancy W^T W - (W*)^T W*.
 
 Vector conventions: row i of Xi is (X_i(1)^2, ..., X_i(d)^2, X_i(k) X_i(l)
 for k < l lexicographic); a symmetric M is encoded as (M_11, ..., M_dd,
-2 M_kl for k < l) so that <row_i, enc(M)> = X_i^T M X_i exactly.
+2 M_kl for k < l) so that <row_i, enc(M)> = X_i^T M X_i exactly. Both are
+model._tensorize and model._sym_encode, which the empirical risk shares.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _sym_coordinates,
+    _sym_decode,
+    _sym_encode,
+    _tensorize,
     absorb_output_weights,
     gram,
     quadform,
@@ -42,11 +47,6 @@ def critical_sample_count(d: int) -> int:
     if d < 1:
         raise InvalidArgument("need d >= 1")
     return d * (d + 1) // 2
-
-
-def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column indices of the pairs k < l, in lexicographic order."""
-    return np.triu_indices(d, 1)
 
 
 @dataclass(frozen=True)
@@ -78,18 +78,13 @@ def tensorize(dataset: Dataset | np.ndarray) -> TensorizedDesign:
         X = dataset.inputs
     else:
         X = np.atleast_2d(np.asarray(dataset, dtype=float))
-    d = X.shape[1]
-    k, l = _pair_indices(d)
-    return TensorizedDesign(xi=np.hstack([X * X, X[:, k] * X[:, l]]), d=d)
+    return TensorizedDesign(xi=_tensorize(X), d=X.shape[1])
 
 
 def sym_vector(M: np.ndarray) -> np.ndarray:
     """Encode symmetric M as (M_11..M_dd, 2 M_kl for k < l); the factor 2
     compensates the single appearance of x_k x_l in the tensorized row."""
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    d = M.shape[0]
-    k, l = _pair_indices(d)
-    return np.concatenate([np.diag(M), 2.0 * M[k, l]])
+    return _sym_encode(np.atleast_2d(np.asarray(M, dtype=float)))
 
 
 def sym_matrix(v: np.ndarray, d: int) -> np.ndarray:
@@ -97,10 +92,7 @@ def sym_matrix(v: np.ndarray, d: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.shape[0] != critical_sample_count(d):
         raise InvalidArgument("vector length must be d(d+1)/2")
-    M = np.diag(v[:d])
-    k, l = _pair_indices(d)
-    M[k, l] = M[l, k] = 0.5 * v[d:]
-    return M
+    return _sym_decode(v, d)
 
 
 def _equilibrate(xi: np.ndarray, passes: int = EQUILIBRATION_PASSES) -> np.ndarray:
@@ -215,7 +207,8 @@ def prime_vandermonde_certificate(d: int) -> PrimeCertificate:
         e = [0] * d
         e[k] = 2
         vectors.append(tuple(e))
-    for k, l in zip(*_pair_indices(d)):
+    rows, cols = _sym_coordinates(d)
+    for k, l in zip(rows[d:], cols[d:]):
         e = [0] * d
         e[k] = e[l] = 1
         vectors.append(tuple(e))

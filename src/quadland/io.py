@@ -28,12 +28,19 @@ SCHEMA_VERSION = 1
 _FLOAT_FMT = "%.17g"
 
 
+def _csv_rows(matrix: np.ndarray) -> str:
+    """Every row as `%.17g` values joined by commas, formatted in one `%`."""
+    m, d = matrix.shape
+    row = ",".join([_FLOAT_FMT] * d) + "\n"
+    return (row * m) % tuple(matrix.ravel().tolist())
+
+
 def write_matrix(path, matrix) -> None:
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     m, d = matrix.shape
     with open(path, "w") as fh:
         fh.write(f"# rows={m} cols={d}\n")
-        np.savetxt(fh, matrix, fmt=_FLOAT_FMT, delimiter=",")
+        fh.write(_csv_rows(matrix))
 
 
 _MATRIX_HEADER = re.compile(r"^#\s*rows=(\d+)\s+cols=(\d+)\s*$")
@@ -67,7 +74,7 @@ def write_dataset(path, dataset: Dataset) -> None:
         rows = dataset.inputs
         if dataset.labeled:
             rows = np.column_stack((rows, dataset.labels))
-        np.savetxt(fh, rows, fmt=_FLOAT_FMT, delimiter=",")
+        fh.write(_csv_rows(rows))
 
 
 _DATASET_HEADER = re.compile(r"^#\s*n=(\d+)\s+d=(\d+)\s+dist=(\S+)\s+seed=(\d+)\s*$")

@@ -454,24 +454,101 @@ def forward_batch(model: Network, X: np.ndarray) -> np.ndarray:
     return vals.sum(axis=1) if a is None else vals @ a
 
 
-def quadform(X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """The quadratic forms X_i^T A X_i over the rows of X (N x d), in O(N d^2).
+# --------------------------------------------------------------------------
+# quadratic forms on tensorized inputs
+# --------------------------------------------------------------------------
 
-    A pure-square network's outputs are quadform(X, gram(network)), so this
-    is the one place that evaluates a batch of such forms.
+
+def _sym_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the d(d+1)/2 coordinates of a symmetric
+    d x d matrix: the diagonal, then the pairs k < l in lexicographic order."""
+    k, l = np.triu_indices(d, 1)
+    diag = np.arange(d)
+    return np.concatenate([diag, k]), np.concatenate([diag, l])
+
+
+def _pair_weights(d: int) -> np.ndarray:
+    """1 on the diagonal coordinates, 2 on the pairs, which X^T M X counts twice."""
+    w = np.full(d * (d + 1) // 2, 2.0)
+    w[:d] = 1.0
+    return w
+
+
+def _sym_index(d: int) -> np.ndarray:
+    """The d x d map from an entry (k, l) to its coordinate, symmetric in k, l."""
+    rows, cols = _sym_coordinates(d)
+    index = np.empty((d, d), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    return index
+
+
+def _tensorize(X: np.ndarray) -> np.ndarray:
+    """Row i = (X_i(k) X_i(l)) over the symmetric coordinates, N x d(d+1)/2."""
+    rows, cols = _sym_coordinates(X.shape[1])
+    return X[:, rows] * X[:, cols]
+
+
+def _sym_encode(M: np.ndarray) -> np.ndarray:
+    """(M_11..M_dd, 2 M_kl for k < l), so that <_tensorize(x), enc(M)> = x^T M x."""
+    d = M.shape[0]
+    rows, cols = _sym_coordinates(d)
+    return M[rows, cols] * _pair_weights(d)
+
+
+def _sym_decode(v: np.ndarray, d: int) -> np.ndarray:
+    """The symmetric d x d matrix whose encoding is v."""
+    return (v / _pair_weights(d))[_sym_index(d)]
+
+
+class _QuadraticDesign:
+    """Inputs X (N x d) tensorized once, for many forms X_i^T A X_i.
+
+    xi is the tensorized design with its pair columns doubled, so a batch of
+    forms of a symmetric A is one product xi @ A[rows, cols], O(N d(d+1)/2);
+    moment(r) = sum_i r_i X_i X_i^T scatters xi^T r back through the index
+    map, so it is exactly symmetric.
     """
-    return ((X @ A) * X).sum(axis=1)
+
+    def __init__(self, X: np.ndarray):
+        d = X.shape[1]
+        w = _pair_weights(d)
+        self.rows, self.cols = _sym_coordinates(d)
+        self.index = _sym_index(d)
+        self.xi_w = _tensorize(X) * w
+        self.unweight = (1.0 / w)[self.index]
+
+    def forms(self, A: np.ndarray) -> np.ndarray:
+        return self.xi_w @ A[self.rows, self.cols]
+
+    def gram_forms(self, w: np.ndarray) -> np.ndarray:
+        """X_i^T (w^T w) X_i: the outputs of a pure-square network with raw weights w."""
+        return self.xi_w @ (w.T @ w)[self.rows, self.cols]
+
+    def moment(self, r: np.ndarray) -> np.ndarray:
+        return (self.xi_w.T @ r)[self.index] * self.unweight
+
+
+def quadform(X: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The quadratic forms X_i^T A X_i over the rows of X (N x d), symmetric A.
+
+    Every batch of such forms goes through _QuadraticDesign, so labels,
+    residuals and one-off forms share one arithmetic.
+    """
+    return _QuadraticDesign(X).forms(A)
+
+
+def _absorbed(model_or_weights) -> np.ndarray:
+    """Raw weights with any output weights folded in: row j is sqrt(a_j) W_j."""
+    if isinstance(model_or_weights, (TeacherModel, StudentWeights)):
+        w = model_or_weights.weights
+        a = _output_weights_of(model_or_weights)
+        return w if a is None else w * np.sqrt(a)[:, None]
+    return np.atleast_2d(np.asarray(model_or_weights, dtype=float))
 
 
 def gram(model_or_weights) -> np.ndarray:
     """Output-weighted Gram matrix sum_j a_j W_j W_j^T (d x d, symmetric)."""
-    if isinstance(model_or_weights, (TeacherModel, StudentWeights)):
-        w = model_or_weights.weights
-        a = _output_weights_of(model_or_weights)
-    else:
-        w = np.atleast_2d(np.asarray(model_or_weights, dtype=float))
-        a = None
-    return _gram_matrix(w if a is None else w * np.sqrt(a)[:, None])
+    return _gram_matrix(_absorbed(model_or_weights))
 
 
 def _gram_matrix(w: np.ndarray) -> np.ndarray:
@@ -502,5 +579,4 @@ def absorb_output_weights(model: TeacherModel) -> TeacherModel:
         raise InvalidArgument(
             "cannot absorb output weights under affine activation terms"
         )
-    scaled = model.weights * np.sqrt(model.output_weights)[:, None]
-    return TeacherModel(scaled, model.activation, None)
+    return TeacherModel(_absorbed(model), model.activation, None)

@@ -14,6 +14,7 @@ barrier, and whether the iterate obeys the sublevel-set norm ceiling.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -29,12 +30,12 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _QuadraticDesign,
     _gram_matrix,
     gram,
     is_full_rank,
     moments_of,
     parse_distribution,
-    quadform,
     truncated_moments,
 )
 from .risk import (
@@ -46,6 +47,8 @@ from .risk import (
     population_risk,
     population_risk_of,
 )
+
+logger = logging.getLogger(__name__)
 
 SMOOTHNESS_SUBSTREAM = 2
 
@@ -137,17 +140,17 @@ def build_objective(teacher: TeacherModel, data_or_moments: Dataset | Moments) -
             raise InvalidArgument(
                 f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
             )
-        X, y = dataset.inputs, dataset.labels
+        design, y, n = _QuadraticDesign(dataset.inputs), dataset.labels, dataset.n
 
         def evaluate(W):
-            r = _residuals(W, X, y)
-            return float(np.mean(r * r)), r
+            r = _residuals(W, design, y)
+            return float(r @ r) / n, r
 
         return Objective(
             evaluate=evaluate,
-            gradient=lambda W, r: _raw_empirical_gradient(W, X, r),
-            hvp=lambda W, r, V: _raw_empirical_gradient(V, X, r)
-            + _raw_empirical_gradient(W, X, quadform(X, W.T @ V + V.T @ W)),
+            gradient=lambda W, r: _raw_empirical_gradient(W, design, r),
+            hvp=lambda W, r, V: _raw_empirical_gradient(V, design, r)
+            + _raw_empirical_gradient(W, design, design.forms(W.T @ V + V.T @ W)),
         )
     if isinstance(data_or_moments, Moments):
         moments = data_or_moments
@@ -270,7 +273,8 @@ def gradient_descent(
     inverse-smoothness policies; a violation raises ContractViolation. Non-
     finite values end the run as "nonfinite", without overflow warnings; a
     gradient at the rounding floor of the risk ends it as "stalled" (the line
-    search finds no step, or the step leaves W bitwise unchanged).
+    search finds no step, or the step leaves W bitwise unchanged), and a run
+    that stalls before its first step logs a warning.
     """
     obj = build_objective(teacher, data_or_moments)
     barrier, base_moments = _barrier_context(teacher, data_or_moments)
@@ -311,7 +315,7 @@ def gradient_descent(
     record(0, None)
 
     while True:
-        grad_norm_sq = float(np.sum(grad * grad))
+        grad_norm_sq = float(np.vdot(grad, grad))
         if not math.isfinite(grad_norm_sq) or not math.isfinite(risk):
             termination = "nonfinite"
             break
@@ -331,7 +335,7 @@ def gradient_descent(
             step, smoothness = _smoothness_step(obj, W, risk, grad, grad_norm_sq, smoothness)
         # no acceptable step, or one that leaves W bitwise unchanged: the
         # gradient is at the rounding floor of the risk
-        if step is None or np.array_equal(step[1], W):
+        if step is None or (step[1] == W).all():
             termination = "stalled"
             break
         eta, W_new, risk_new, state_new = step
@@ -352,6 +356,10 @@ def gradient_descent(
         if k % config.record_every == 0:
             record(k, eta)
 
+    if termination == "stalled" and k == 0:
+        logger.warning(
+            "descent stalled at iteration 0: no step lowers the initial risk %.6g", risk
+        )
     if not records or records[-1].iteration != k:
         record(k, None)
     return Trajectory(
@@ -366,7 +374,7 @@ def gradient_descent(
 def _try_step(obj, W, grad, eta):
     """(eta, W - eta grad, risk, state); the risk is inf if the point overflows."""
     W_new = W - eta * grad
-    if not np.all(np.isfinite(W_new)):
+    if not np.isfinite(W_new).all():
         return eta, W_new, math.inf, None
     return (eta, W_new, *obj.evaluate(W_new))
 

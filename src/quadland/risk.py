@@ -11,9 +11,12 @@ The diagonal-only third term is sandwiched by the bounds
 
     mu2^2 tr(A)^2 + c tr(A^2),   c in {min, max}{mu4 - mu2^2, 2 mu2^2}.
 
-A student's outputs are X_i^T (W^T W) X_i, so the empirical risk and
-gradient are evaluated in Gram space at O(N d^2 + m d^2) per call, never
-through the N x m matrix of neuron pre-activations.
+A student's outputs are X_i^T (W^T W) X_i = <Xi_i, G[upper]> with Xi_i the
+tensorized sample (pair columns doubled) and G[upper] the d(d+1)/2 upper
+coordinates of G = W^T W. The empirical residuals are one product with the
+design built once per dataset (model._QuadraticDesign), and the gradient is
+W S with S = (4/N) sum r_i X_i X_i^T scattered back from Xi^T r. A call costs
+O(N d(d+1)/2 + m d^2), never the N x m matrix of neuron pre-activations.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .model import (
     StudentWeights,
     TeacherModel,
     _DEFAULT_ACTIVATION,
+    _QuadraticDesign,
     _gram_matrix,
     discrepancy,
     gram,
-    quadform,
 )
 
 
@@ -73,29 +76,28 @@ def _check_empirical(student: StudentWeights, dataset: Dataset) -> None:
         raise InvalidArgument(f"dimension mismatch: student d={student.d}, data d={dataset.d}")
 
 
-def _residuals(W: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """r_i = X_i^T (W^T W) X_i - y_i, with no N x m temporary."""
-    return quadform(X, _gram_matrix(W)) - y
+def _residuals(W: np.ndarray, design: _QuadraticDesign, y: np.ndarray) -> np.ndarray:
+    """r_i = X_i^T (W^T W) X_i - y_i, one product with the tensorized design."""
+    return design.gram_forms(W) - y
 
 
-def _raw_empirical_gradient(W: np.ndarray, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _raw_empirical_gradient(W: np.ndarray, design: _QuadraticDesign, r: np.ndarray) -> np.ndarray:
     """W S with S = (4/N) sum r_i X_i X_i^T linear in r, on raw arrays, unvalidated."""
-    S = (4.0 / X.shape[0]) * (X * r[:, None]).T @ X
-    return W @ (0.5 * (S + S.T))
+    return W @ (design.moment(r) * (4.0 / r.shape[0]))
 
 
 def empirical_risk(student: StudentWeights, dataset: Dataset) -> float:
     """Mean squared residual (1/N) sum (Y_i - ||W X_i||^2)^2."""
     _check_empirical(student, dataset)
-    r = _residuals(student.weights, dataset.inputs, dataset.labels)
-    return float(np.mean(r * r))
+    r = _residuals(student.weights, _QuadraticDesign(dataset.inputs), dataset.labels)
+    return float(r @ r) / dataset.n
 
 
 def empirical_gradient(student: StudentWeights, dataset: Dataset) -> np.ndarray:
     """Exact gradient W S with S = (4/N) sum r_i X_i X_i^T, r_i the residuals."""
     _check_empirical(student, dataset)
-    W, X = student.weights, dataset.inputs
-    return _raw_empirical_gradient(W, X, _residuals(W, X, dataset.labels))
+    W, design = student.weights, _QuadraticDesign(dataset.inputs)
+    return _raw_empirical_gradient(W, design, _residuals(W, design, dataset.labels))
 
 
 def population_risk(disc: Discrepancy | np.ndarray, moments: Moments) -> RiskReport:

@@ -145,6 +145,19 @@ def test_flag_beats_config_file(tmp_path):
 # --- failure exit codes ---------------------------------------------------
 
 
+def test_help_lists_every_subcommand_and_the_chosen_flags(capsys):
+    assert main(["--help"]) == 0
+    top = capsys.readouterr().out
+    assert all(name in top for name in _OPTIONS)
+    for name, options in _OPTIONS.items():
+        assert main([name, "--help"]) == 0
+        text = capsys.readouterr().out
+        assert all(f"--{key}" in text for key in ["config"] + [opt.key for opt in options])
+    # a flag of another subcommand is unknown to the chosen one
+    assert main(["spectrum", "--N", "3"]) == 2
+    assert "unrecognized arguments: --N 3" in capsys.readouterr().err
+
+
 def test_unknown_flag_exits_2(capsys):
     assert main(["gd-run", "--bogus", "1"]) == 2
     capsys.readouterr()
@@ -217,6 +230,18 @@ def test_exhausted_line_search_ends_run_as_stalled(tmp_path, capsys):
     assert summary["termination"] == "stalled"
     assert summary["verdict"] == "inconclusive"
     assert capsys.readouterr().err == ""
+
+
+def test_run_stalled_before_its_first_step_warns(tmp_path, capsys):
+    # a 1e76 teacher scale puts the initial risk at 1.5e305: every trial step
+    # overflows it, so the line search is exhausted at iteration 0
+    argv = ["gd-run", "--teacher-dist", "gaussian(1e76)", "--d", "2", "--m", "3"]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    summary = read_json(tmp_path / "summary.json")
+    assert summary["termination"] == "stalled" and summary["iterations"] == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: descent stalled at iteration 0")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("objective", ["empirical", "population"])

@@ -5,6 +5,7 @@ import pytest
 
 from quadland import (
     ContractViolation,
+    Dataset,
     FixedStep,
     GDConfig,
     Gaussian,
@@ -14,6 +15,7 @@ from quadland import (
     StudentWeights,
     TeacherModel,
     Uniform,
+    absorb_output_weights,
     build_objective,
     certify_stationary_global,
     check_init_below_barrier,
@@ -87,6 +89,55 @@ def test_hvp_matches_central_differences_of_gradient(payload):
     want = (grad(W + h * V) - grad(W - h * V)) / (2.0 * h)
     got = obj.hvp(W, obj.evaluate(W)[1], V)
     assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+
+
+def _loop_objective(W, X, y, V):
+    """Risk, residuals, gradient and Hessian product of the empirical risk by
+    loops over quadratic_form_loop, independent of the tensorized design."""
+    N, d = X.shape
+    r = np.array([oracles.quadratic_form_loop(oracles.gram_loop(W), x) for x in X]) - y
+    dG = np.array([[sum(W[j, k] * V[j, l] + V[j, k] * W[j, l] for j in range(W.shape[0]))
+                    for l in range(d)] for k in range(d)])
+    r_dot = np.array([oracles.quadratic_form_loop(dG, x) for x in X])
+
+    def S(res):
+        return 4.0 / N * sum(res_i * np.outer(x, x) for res_i, x in zip(res, X))
+
+    return float(r @ r) / N, r, W @ S(r), V @ S(r) + W @ S(r_dot)
+
+
+@pytest.mark.parametrize("d,m,n", [(1, 1, 1), (1, 3, 4), (2, 5, 1), (3, 4, 5), (4, 6, 9), (5, 3, 40)])
+def test_empirical_objective_matches_loop_oracle(d, m, n):
+    # n = 1 and n < N* = d(d+1)/2 included: the design need not span
+    gen = np.random.default_rng(100 * d + n)
+    data = Dataset(inputs=gen.standard_normal((n, d)), labels=gen.standard_normal(n) * m,
+                   distribution_tag="manual", seed=0)
+    obj = build_objective(TeacherModel(np.eye(d)), data)
+    W, V = gen.standard_normal((m, d)), gen.standard_normal((m, d))
+    risk, r = obj.evaluate(W)
+    want_risk, want_r, want_grad, want_hvp = _loop_objective(W, data.inputs, data.labels, V)
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+
+    scale = np.linalg.norm(want_r + data.labels) + np.linalg.norm(data.labels)
+    assert np.linalg.norm(r - want_r) <= 1e-12 * scale
+    assert risk == pytest.approx(want_risk, rel=1e-12)
+    assert close(obj.gradient(W, r), want_grad)
+    assert close(obj.hvp(W, r, V), want_hvp)
+
+
+@pytest.mark.parametrize("output_weights", [None, [0.5, 2.0, 1.0, 3.0]])
+@pytest.mark.parametrize("d,n", [(1, 1), (3, 2), (3, 30)])
+def test_student_equal_to_teacher_has_exactly_zero_residual(d, n, output_weights):
+    teacher = TeacherModel(np.random.default_rng(d + n).standard_normal((4, d)),
+                           output_weights=output_weights)
+    data = label_dataset(sample_dataset(DIST, n, d, seed=3), teacher)
+    W = absorb_output_weights(teacher).weights
+    obj = build_objective(teacher, data)
+    risk, r = obj.evaluate(W)
+    assert risk == 0.0 and not r.any()
+    assert not obj.gradient(W, r).any()
 
 
 def test_smoothness_stable_across_probe_seeds():
