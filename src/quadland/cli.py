@@ -32,6 +32,7 @@ from .geometry import (
     critical_sample_count,
     prime_vandermonde_certificate,
     prime_vandermonde_data,
+    prime_vandermonde_span,
     recover_gram_discrepancy,
     spans_symmetric,
 )
@@ -348,10 +349,11 @@ def _cmd_geometry_check(cfg: dict[str, Any]) -> dict[str, Any]:
     if cfg["source"] == "prime":
         dataset = prime_vandermonde_data(d, n)
         certificate = prime_vandermonde_certificate(d).to_json()
+        report = prime_vandermonde_span(d, n)
     else:
         dataset = sample_dataset(parse_distribution(cfg["dist"]), n, d, cfg["seed"])
         certificate = None
-    report = spans_symmetric(dataset)
+        report = spans_symmetric(dataset)
     out = _out_dir(cfg)
     write_matrix(out / "design_inputs.csv", dataset.inputs)
     summary: dict[str, Any] = {"span": report.to_json(), "n_star": critical_sample_count(d)}

@@ -8,6 +8,7 @@ see _rng for the stream discipline that makes this hold across platforms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,8 +18,8 @@ from .model import (
     _DEFAULT_ACTIVATION,
     Distribution,
     TeacherModel,
+    TensorizedDesign,
     _absorbed,
-    _QuadraticDesign,
     forward_batch,
 )
 
@@ -66,6 +67,13 @@ class Dataset:
     def labeled(self) -> bool:
         return self.labels is not None
 
+    @cached_property
+    def design(self) -> TensorizedDesign:
+        """The tensorized inputs, built on first use and shared by labeling,
+        descent and every geometry routine. The inputs are frozen, so the
+        cache cannot go stale."""
+        return TensorizedDesign(self.inputs)
+
 
 def sample_dataset(distribution: Distribution, n: int, d: int, seed: int) -> Dataset:
     """Draw an unlabeled N x d dataset, deterministic per seed."""
@@ -81,7 +89,7 @@ def label_dataset(dataset: Dataset, teacher: TeacherModel) -> Dataset:
 
     A pure-square teacher labels through the upper coordinates of its
     output-weighted Gram, Y_i = X_i^T G* X_i, by the same arithmetic that
-    evaluates students (_QuadraticDesign.gram_forms), so a student equal to
+    evaluates students (TensorizedDesign.gram_forms), so a student equal to
     the teacher has exactly zero residual. Other activations label through
     forward_batch.
     """
@@ -90,7 +98,7 @@ def label_dataset(dataset: Dataset, teacher: TeacherModel) -> Dataset:
             f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
         )
     if teacher.activation == _DEFAULT_ACTIVATION:
-        labels = _QuadraticDesign(dataset.inputs).gram_forms(_absorbed(teacher))
+        labels = dataset.design.gram_forms(_absorbed(teacher))
     else:
         labels = forward_batch(teacher, dataset.inputs)
     return Dataset(

@@ -8,13 +8,15 @@ solution is the Gram discrepancy W^T W - (W*)^T W*.
 
 Vector conventions: row i of Xi is (X_i(1)^2, ..., X_i(d)^2, X_i(k) X_i(l)
 for k < l lexicographic); a symmetric M is encoded as (M_11, ..., M_dd,
-2 M_kl for k < l) so that <row_i, enc(M)> = X_i^T M X_i exactly. Both are
-model._tensorize and model._sym_encode, which the empirical risk shares.
+2 M_kl for k < l) so that <row_i, enc(M)> = X_i^T M X_i exactly. Xi is the
+model.TensorizedDesign that Dataset.design builds once per dataset and the
+empirical risk shares; every routine here reads it and its cached span
+singular values instead of tensorizing again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,20 +28,20 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    TensorizedDesign,
     _sym_coordinates,
     _sym_decode,
     _sym_encode,
-    _tensorize,
     absorb_output_weights,
     gram,
-    quadform,
 )
 from .risk import population_risk
 
 # First eight primes; the construction guard keeps d within this table.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
-EQUILIBRATION_PASSES = 5
+# The Mersenne prime 2^61 - 1: the prime design's rank is taken modulo it.
+SPAN_MODULUS = 2 ** 61 - 1
 
 
 def critical_sample_count(d: int) -> int:
@@ -49,36 +51,10 @@ def critical_sample_count(d: int) -> int:
     return d * (d + 1) // 2
 
 
-@dataclass(frozen=True)
-class TensorizedDesign:
-    """The N x d(d+1)/2 matrix of tensorized samples."""
-
-    xi: np.ndarray
-    d: int
-
-    def __post_init__(self):
-        xi = np.atleast_2d(np.asarray(self.xi, dtype=float)).copy()
-        if xi.shape[1] != critical_sample_count(self.d):
-            raise InvalidArgument("tensorized width must be d(d+1)/2")
-        xi.setflags(write=False)
-        object.__setattr__(self, "xi", xi)
-
-    @property
-    def n(self) -> int:
-        return self.xi.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.xi.shape[1]
-
-
 def tensorize(dataset: Dataset | np.ndarray) -> TensorizedDesign:
-    """Tensorized design of a dataset (or raw N x d input matrix)."""
-    if isinstance(dataset, Dataset):
-        X = dataset.inputs
-    else:
-        X = np.atleast_2d(np.asarray(dataset, dtype=float))
-    return TensorizedDesign(xi=_tensorize(X), d=X.shape[1])
+    """Tensorized design of a dataset (its cached design) or of a raw N x d
+    input matrix (built afresh)."""
+    return dataset.design if isinstance(dataset, Dataset) else TensorizedDesign(dataset)
 
 
 def sym_vector(M: np.ndarray) -> np.ndarray:
@@ -95,52 +71,35 @@ def sym_matrix(v: np.ndarray, d: int) -> np.ndarray:
     return _sym_decode(v, d)
 
 
-def _equilibrate(xi: np.ndarray, passes: int = EQUILIBRATION_PASSES) -> np.ndarray:
-    """Iterated row and column normalization. Scaling by positive diagonals
-    never changes the rank but collapses the enormous dynamic range of
-    power-law designs, without which float64 SVD cannot see full rank."""
-    E = xi.astype(float, copy=True)
-    for _ in range(passes):
-        rn = np.linalg.norm(E, axis=1, keepdims=True)
-        E /= np.where(rn > 0, rn, 1.0)
-        cn = np.linalg.norm(E, axis=0, keepdims=True)
-        E /= np.where(cn > 0, cn, 1.0)
-    return E
-
-
 @dataclass(frozen=True)
 class SpanReport:
-    """Numerical rank of the tensorized design and the span verdict."""
+    """Rank of the tensorized design and the span verdict.
+
+    An exact rank (prime_vandermonde_span) has no threshold or singular
+    values; they are None there.
+    """
 
     rank: int
     spans: bool
     dimension: int
     n: int
-    threshold: float
-    sigma_min: float
-    sigma_max: float
+    threshold: float | None
+    sigma_min: float | None
+    sigma_max: float | None
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "spans": self.spans,
-            "dimension": self.dimension,
-            "n": self.n,
-            "threshold": self.threshold,
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-        }
+        return asdict(self)
 
 
 def spans_symmetric(dataset: Dataset | np.ndarray) -> SpanReport:
     """Whether span{X_i X_i^T} is all of the symmetric matrices.
 
     Equivalent to rank(Xi) = d(d+1)/2. The rank is computed on the
-    equilibrated design with threshold 1e-10 * sigma_max * max(N, D).
+    equilibrated design with threshold 1e-10 * sigma_max * max(N, D), from
+    the singular values the design caches, so a dataset pays one SVD.
     """
     design = tensorize(dataset)
-    E = _equilibrate(design.xi)
-    s = np.linalg.svd(E, compute_uv=False)
+    s = design.span_singular_values
     sigma_max = float(s[0]) if s.size else 0.0
     threshold = RANK_RTOL * sigma_max * max(design.n, design.dimension)
     rank = int(np.count_nonzero(s > threshold))
@@ -160,11 +119,7 @@ def spans_symmetric(dataset: Dataset | np.ndarray) -> SpanReport:
 # --------------------------------------------------------------------------
 
 
-def prime_vandermonde_data(d: int, n: int) -> Dataset:
-    """Deterministic samples X_t = (p_1^(t-1), ..., p_d^(t-1)) over distinct
-    primes. Tensorized rows are then powers of the pairwise-distinct node
-    set {p_k^2} union {p_k p_l}, a Vandermonde structure of full rank.
-    """
+def _check_prime_design(d: int, n: int) -> None:
     if n < 1:
         raise InvalidArgument("need n >= 1")
     if not 1 <= d <= len(PRIMES):
@@ -172,9 +127,62 @@ def prime_vandermonde_data(d: int, n: int) -> Dataset:
             f"prime construction supports 1 <= d <= {len(PRIMES)}; larger d "
             "overflows exact integer products, draw random data instead"
         )
+
+
+def prime_vandermonde_data(d: int, n: int) -> Dataset:
+    """Deterministic samples X_t = (p_1^(t-1), ..., p_d^(t-1)) over distinct
+    primes. Tensorized rows are then powers of the pairwise-distinct node
+    set {p_k^2} union {p_k p_l}, a Vandermonde structure of full rank.
+    """
+    _check_prime_design(d, n)
     rows = [[PRIMES[k] ** t for k in range(d)] for t in range(n)]
     inputs = np.array(rows, dtype=float)
     return Dataset(inputs=inputs, labels=None, distribution_tag="prime_vandermonde", seed=0)
+
+
+def _rank_mod(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p) of a matrix of residues mod p, by row reduction in place."""
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank][col:]
+        inv = pow(top[0], -1, p)
+        for row in rows[rank + 1:]:
+            f = row[col] * inv % p
+            if f:  # columns left of col are already zero
+                row[col:] = [(a - f * b) % p for a, b in zip(row[col:], top)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+def prime_vandermonde_span(d: int, n: int) -> SpanReport:
+    """Exact span report of the tensorized prime_vandermonde_data(d, n).
+
+    Its row t holds the integers (p_k p_l)^t, which float64 cannot hold
+    (11^28 at d = 5), so spans_symmetric underrates the rank. Here the rank
+    is taken modulo the prime SPAN_MODULUS in exact integer arithmetic: a
+    minor that is nonzero mod P is a nonzero integer, so full rank mod P
+    proves full rank over Q. A rank below full is only a lower bound. The
+    report has no threshold or singular values.
+    """
+    _check_prime_design(d, n)
+    rows, cols = _sym_coordinates(d)
+    nodes = [PRIMES[k] * PRIMES[l] for k, l in zip(rows, cols)]
+    rank = _rank_mod([[pow(v, t, SPAN_MODULUS) for v in nodes] for t in range(n)], SPAN_MODULUS)
+    return SpanReport(
+        rank=rank,
+        spans=rank == len(nodes),
+        dimension=len(nodes),
+        n=n,
+        threshold=None,
+        sigma_min=None,
+        sigma_max=None,
+    )
 
 
 @dataclass(frozen=True)
@@ -200,8 +208,7 @@ class PrimeCertificate:
 
 
 def prime_vandermonde_certificate(d: int) -> PrimeCertificate:
-    if not 1 <= d <= len(PRIMES):
-        raise InvalidArgument(f"prime construction supports 1 <= d <= {len(PRIMES)}")
+    _check_prime_design(d, 1)
     vectors = []
     for k in range(d):
         e = [0] * d
@@ -249,22 +256,19 @@ def null_interpolator(
     absorbed = absorb_output_weights(teacher)
     g_star = gram(absorbed)
     d = teacher.d
-    D = critical_sample_count(d)
     if dataset is None:
         direction = np.zeros((d, d))
         direction[0, 0] = 1.0
     else:
         if dataset.d != d:
             raise InvalidArgument("dataset dimension does not match the teacher")
-        report = spans_symmetric(dataset)
-        if report.spans:
+        if spans_symmetric(dataset).spans:
             raise InvalidArgument(
                 "dataset spans the symmetric matrices; no null direction exists"
             )
-        design = tensorize(dataset)
-        rn = np.linalg.norm(design.xi, axis=1, keepdims=True)
-        rows = design.xi / np.where(rn > 0, rn, 1.0)
-        _, _, vh = np.linalg.svd(rows, full_matrices=True)
+        xi = dataset.design.xi
+        rn = np.linalg.norm(xi, axis=1, keepdims=True)
+        _, _, vh = np.linalg.svd(xi / np.where(rn > 0, rn, 1.0), full_matrices=True)
         direction = sym_matrix(vh[-1], d)
     spectral = float(np.max(np.abs(np.linalg.eigvalsh(direction))))
     direction = direction / spectral
@@ -275,10 +279,11 @@ def null_interpolator(
         "direction_spectral_norm": float(np.max(np.abs(np.linalg.eigvalsh(direction)))),
     }
     if dataset is not None:
-        constraint = quadform(dataset.inputs, direction)
+        design = dataset.design
+        constraint = design.forms(direction)
         certificate["max_constraint_violation"] = float(np.max(np.abs(constraint)))
-        labels = quadform(dataset.inputs, g_star)
-        residual = quadform(dataset.inputs, gram(student)) - labels
+        labels = design.forms(g_star)
+        residual = design.forms(gram(student)) - labels
         emp = float(np.mean(residual ** 2))
         certificate["empirical_risk"] = emp
         scale = 1.0 + float(np.mean(labels ** 2))
@@ -320,6 +325,8 @@ def recover_gram_discrepancy(
 
     Requires the dataset to span the symmetric matrices; the solve is the
     least-squares version of the normal equations (Xi^T Xi)^(-1) Xi^T v.
+    The span test and the design are the dataset's cached ones, so repeated
+    calls on one dataset take one span SVD; each call solves its own v.
     """
     if dataset.d != student.d or dataset.d != teacher.d:
         raise InvalidArgument("dimension mismatch between dataset, student, teacher")
@@ -330,8 +337,8 @@ def recover_gram_discrepancy(
             "recovery is ill-posed"
         )
     labels = (dataset if dataset.labeled else label_dataset(dataset, teacher)).labels
-    v = quadform(dataset.inputs, gram(student)) - labels
-    design = tensorize(dataset)
+    design = dataset.design
+    v = design.forms(gram(student)) - labels
     sol, _, _, _ = np.linalg.lstsq(design.xi, v, rcond=None)
     m_hat = sym_matrix(sol, dataset.d)
     residual = float(np.linalg.norm(design.xi @ sol - v))

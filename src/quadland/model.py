@@ -17,7 +17,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -33,6 +33,8 @@ RANK_RTOL = 1e-10
 # sigma_min >= 1e-4 max(1, sigma_max), 10^6 times the RANK_RTOL threshold
 # and far above the rounding error of forming W^T W and its eigenvalues.
 GRAM_RANK_RTOL = 1e-8
+
+EQUILIBRATION_PASSES = 5
 
 _DEFAULT_ACTIVATION = (1.0, 0.0, 0.0)
 
@@ -459,37 +461,43 @@ def forward_batch(model: Network, X: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# The three layouts below depend on d alone, so each is built once per d and
+# returned read-only; every tensorized design and encoding shares them. The
+# caches are bounded because d comes from the user.
+@lru_cache(maxsize=64)
 def _sym_coordinates(d: int) -> tuple[np.ndarray, np.ndarray]:
     """Row and column indices of the d(d+1)/2 coordinates of a symmetric
     d x d matrix: the diagonal, then the pairs k < l in lexicographic order."""
     k, l = np.triu_indices(d, 1)
     diag = np.arange(d)
-    return np.concatenate([diag, k]), np.concatenate([diag, l])
+    return _read_only(np.concatenate([diag, k])), _read_only(np.concatenate([diag, l]))
 
 
+@lru_cache(maxsize=64)
 def _pair_weights(d: int) -> np.ndarray:
     """1 on the diagonal coordinates, 2 on the pairs, which X^T M X counts twice."""
     w = np.full(d * (d + 1) // 2, 2.0)
     w[:d] = 1.0
-    return w
+    return _read_only(w)
 
 
+@lru_cache(maxsize=64)
 def _sym_index(d: int) -> np.ndarray:
     """The d x d map from an entry (k, l) to its coordinate, symmetric in k, l."""
     rows, cols = _sym_coordinates(d)
     index = np.empty((d, d), dtype=np.intp)
     index[rows, cols] = index[cols, rows] = np.arange(rows.size)
-    return index
-
-
-def _tensorize(X: np.ndarray) -> np.ndarray:
-    """Row i = (X_i(k) X_i(l)) over the symmetric coordinates, N x d(d+1)/2."""
-    rows, cols = _sym_coordinates(X.shape[1])
-    return X[:, rows] * X[:, cols]
+    return _read_only(index)
 
 
 def _sym_encode(M: np.ndarray) -> np.ndarray:
-    """(M_11..M_dd, 2 M_kl for k < l), so that <_tensorize(x), enc(M)> = x^T M x."""
+    """(M_11..M_dd, 2 M_kl for k < l), so that <xi_i, enc(M)> = X_i^T M X_i
+    for a row xi_i of TensorizedDesign.xi."""
     d = M.shape[0]
     rows, cols = _sym_coordinates(d)
     return M[rows, cols] * _pair_weights(d)
@@ -500,22 +508,46 @@ def _sym_decode(v: np.ndarray, d: int) -> np.ndarray:
     return (v / _pair_weights(d))[_sym_index(d)]
 
 
-class _QuadraticDesign:
+def _equilibrate(xi: np.ndarray, passes: int = EQUILIBRATION_PASSES) -> np.ndarray:
+    """Iterated row and column normalization. Scaling by positive diagonals
+    never changes the rank but collapses the enormous dynamic range of
+    power-law designs, without which float64 SVD cannot see full rank."""
+    E = xi.astype(float, copy=True)
+    for _ in range(passes):
+        rn = np.linalg.norm(E, axis=1, keepdims=True)
+        E /= np.where(rn > 0, rn, 1.0)
+        cn = np.linalg.norm(E, axis=0, keepdims=True)
+        E /= np.where(cn > 0, cn, 1.0)
+    return E
+
+
+class TensorizedDesign:
     """Inputs X (N x d) tensorized once, for many forms X_i^T A X_i.
 
-    xi is the tensorized design with its pair columns doubled, so a batch of
-    forms of a symmetric A is one product xi @ A[rows, cols], O(N d(d+1)/2);
-    moment(r) = sum_i r_i X_i X_i^T scatters xi^T r back through the index
-    map, so it is exactly symmetric.
+    xi is the N x d(d+1)/2 design, row i = (X_i(k) X_i(l)) over the
+    symmetric coordinates; xi_w doubles its pair columns, so a batch of
+    forms of a symmetric A is one product xi_w @ A[rows, cols],
+    O(N d(d+1)/2); moment(r) = sum_i r_i X_i X_i^T scatters xi_w^T r back
+    through the index map, so it is exactly symmetric. Both arrays are
+    read-only, so the span singular values cached from xi cannot go stale.
     """
 
     def __init__(self, X: np.ndarray):
-        d = X.shape[1]
-        w = _pair_weights(d)
-        self.rows, self.cols = _sym_coordinates(d)
-        self.index = _sym_index(d)
-        self.xi_w = _tensorize(X) * w
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        self.n, self.d = X.shape
+        w = _pair_weights(self.d)
+        self.rows, self.cols = _sym_coordinates(self.d)
+        raw = X[:, self.rows] * X[:, self.cols]
+        # BLAS rounding depends on memory order: xi is a C-ordered copy and
+        # xi_w keeps raw's order, which keeps every artifact byte-stable.
+        self.xi = _read_only(np.array(raw, order="C"))
+        self.xi_w = _read_only(raw * w)
+        self.index = _sym_index(self.d)
         self.unweight = (1.0 / w)[self.index]
+
+    @property
+    def dimension(self) -> int:
+        return self.xi.shape[1]
 
     def forms(self, A: np.ndarray) -> np.ndarray:
         return self.xi_w @ A[self.rows, self.cols]
@@ -527,14 +559,20 @@ class _QuadraticDesign:
     def moment(self, r: np.ndarray) -> np.ndarray:
         return (self.xi_w.T @ r)[self.index] * self.unweight
 
+    @cached_property
+    def span_singular_values(self) -> np.ndarray:
+        """Singular values of the equilibrated xi, descending and read-only:
+        the one SVD behind the span test (geometry.spans_symmetric)."""
+        return _read_only(np.linalg.svd(_equilibrate(self.xi), compute_uv=False))
+
 
 def quadform(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """The quadratic forms X_i^T A X_i over the rows of X (N x d), symmetric A.
 
-    Every batch of such forms goes through _QuadraticDesign, so labels,
+    Every batch of such forms goes through TensorizedDesign, so labels,
     residuals and one-off forms share one arithmetic.
     """
-    return _QuadraticDesign(X).forms(A)
+    return TensorizedDesign(X).forms(A)
 
 
 def _absorbed(model_or_weights) -> np.ndarray:

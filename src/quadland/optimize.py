@@ -30,7 +30,6 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
-    _QuadraticDesign,
     _gram_matrix,
     gram,
     is_full_rank,
@@ -140,7 +139,7 @@ def build_objective(teacher: TeacherModel, data_or_moments: Dataset | Moments) -
             raise InvalidArgument(
                 f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
             )
-        design, y, n = _QuadraticDesign(dataset.inputs), dataset.labels, dataset.n
+        design, y, n = dataset.design, dataset.labels, dataset.n
 
         def evaluate(W):
             r = _residuals(W, design, y)

@@ -14,8 +14,9 @@ The diagonal-only third term is sandwiched by the bounds
 A student's outputs are X_i^T (W^T W) X_i = <Xi_i, G[upper]> with Xi_i the
 tensorized sample (pair columns doubled) and G[upper] the d(d+1)/2 upper
 coordinates of G = W^T W. The empirical residuals are one product with the
-design built once per dataset (model._QuadraticDesign), and the gradient is
-W S with S = (4/N) sum r_i X_i X_i^T scattered back from Xi^T r. A call costs
+dataset's design, built once and cached on it (Dataset.design, a
+model.TensorizedDesign), and the gradient is W S with
+S = (4/N) sum r_i X_i X_i^T scattered back from Xi^T r. A call costs
 O(N d(d+1)/2 + m d^2), never the N x m matrix of neuron pre-activations.
 """
 
@@ -32,8 +33,8 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    TensorizedDesign,
     _DEFAULT_ACTIVATION,
-    _QuadraticDesign,
     _gram_matrix,
     discrepancy,
     gram,
@@ -76,12 +77,12 @@ def _check_empirical(student: StudentWeights, dataset: Dataset) -> None:
         raise InvalidArgument(f"dimension mismatch: student d={student.d}, data d={dataset.d}")
 
 
-def _residuals(W: np.ndarray, design: _QuadraticDesign, y: np.ndarray) -> np.ndarray:
+def _residuals(W: np.ndarray, design: TensorizedDesign, y: np.ndarray) -> np.ndarray:
     """r_i = X_i^T (W^T W) X_i - y_i, one product with the tensorized design."""
     return design.gram_forms(W) - y
 
 
-def _raw_empirical_gradient(W: np.ndarray, design: _QuadraticDesign, r: np.ndarray) -> np.ndarray:
+def _raw_empirical_gradient(W: np.ndarray, design: TensorizedDesign, r: np.ndarray) -> np.ndarray:
     """W S with S = (4/N) sum r_i X_i X_i^T linear in r, on raw arrays, unvalidated."""
     return W @ (design.moment(r) * (4.0 / r.shape[0]))
 
@@ -89,14 +90,14 @@ def _raw_empirical_gradient(W: np.ndarray, design: _QuadraticDesign, r: np.ndarr
 def empirical_risk(student: StudentWeights, dataset: Dataset) -> float:
     """Mean squared residual (1/N) sum (Y_i - ||W X_i||^2)^2."""
     _check_empirical(student, dataset)
-    r = _residuals(student.weights, _QuadraticDesign(dataset.inputs), dataset.labels)
+    r = _residuals(student.weights, dataset.design, dataset.labels)
     return float(r @ r) / dataset.n
 
 
 def empirical_gradient(student: StudentWeights, dataset: Dataset) -> np.ndarray:
     """Exact gradient W S with S = (4/N) sum r_i X_i X_i^T, r_i the residuals."""
     _check_empirical(student, dataset)
-    W, design = student.weights, _QuadraticDesign(dataset.inputs)
+    W, design = student.weights, dataset.design
     return _raw_empirical_gradient(W, design, _residuals(W, design, dataset.labels))
 
 

@@ -5,6 +5,7 @@ import types
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -70,12 +71,16 @@ def test_barrier_scan_example(tmp_path):
 
 
 def test_geometry_check_prime_certificate(tmp_path):
-    code = main(["geometry-check", "--d", "3", "--out", str(tmp_path)])
-    assert code == 0
-    summary = read_json(tmp_path / "summary.json")
-    assert summary["span"]["spans"] is True
-    assert summary["certificate"]["distinct"] is True
-    assert summary["agreement"] is True
+    # d = 8 holds 19^35 in float64, so only the exact rank sees the span
+    for d in (3, 8):
+        out = tmp_path / str(d)
+        assert main(["geometry-check", "--d", str(d), "--out", str(out)]) == 0
+        summary = read_json(out / "summary.json")
+        assert summary["span"]["rank"] == summary["n_star"] == d * (d + 1) // 2
+        assert summary["span"]["spans"] is True
+        assert summary["span"]["sigma_min"] is None
+        assert summary["certificate"]["distinct"] is True
+        assert summary["agreement"] is True
 
 
 def test_recovery_summary(tmp_path):
@@ -87,17 +92,40 @@ def test_recovery_summary(tmp_path):
 
 
 def test_repeat_runs_identical_apart_from_timestamp(tmp_path):
-    args = ["gd-run", "--d", "2", "--m", "8", "--seed", "3"]
-    a, b = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
-    for name in ("summary.json", "results.jsonl", "final_weights.csv", "teacher_weights.csv"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-    ma, mb = read_json(a / "manifest.json"), read_json(b / "manifest.json")
-    ma.pop("timestamp"), mb.pop("timestamp")
-    # the output directory is the one argv difference between the two runs
-    ma["config"].pop("out"), mb["config"].pop("out")
-    assert ma == mb
+    # recovery and geometry-check read a dataset's cached design and span SVD
+    for k, args in enumerate([
+        ["gd-run", "--d", "2", "--m", "8", "--seed", "3"],
+        ["recovery", "--d", "3", "--m", "6"],
+        ["geometry-check", "--source", "random", "--d", "4"],
+    ]):
+        a, b = tmp_path / f"a{k}", tmp_path / f"b{k}"
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
+        names = sorted(p.name for p in a.iterdir())
+        assert names == sorted(p.name for p in b.iterdir())
+        assert "summary.json" in names
+        for name in names:
+            if name != "manifest.json":
+                assert (a / name).read_bytes() == (b / name).read_bytes(), (args, name)
+        ma, mb = read_json(a / "manifest.json"), read_json(b / "manifest.json")
+        ma.pop("timestamp"), mb.pop("timestamp")
+        # the output directory is the one argv difference between the two runs
+        ma["config"].pop("out"), mb["config"].pop("out")
+        assert ma == mb
+
+
+def test_recovery_takes_one_span_svd(tmp_path, monkeypatch):
+    # both scales read the dataset's cached span singular values
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    assert main(["recovery", "--d", "4", "--m", "16", "--out", str(tmp_path)]) == 0
+    assert calls == [(30, 10)]
 
 
 def test_jobs_flag_does_not_change_output(tmp_path):

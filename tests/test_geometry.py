@@ -18,6 +18,7 @@ from quadland import (
     population_risk_of,
     prime_vandermonde_certificate,
     prime_vandermonde_data,
+    prime_vandermonde_span,
     quadform,
     recover_gram_discrepancy,
     sample_dataset,
@@ -27,6 +28,7 @@ from quadland import (
     tensorize,
     tensorized_covariance,
 )
+from quadland.geometry import SPAN_MODULUS, _rank_mod
 
 import oracles
 import reference_values as ref
@@ -143,6 +145,30 @@ def test_prime_design_full_rank_over_rationals():
         data = prime_vandermonde_data(d, n)
         xi = oracles.tensorize_loop(data.inputs)
         assert oracles.exact_rank_rational(xi.astype(object)) == n
+    # the rank modulo 2^61 - 1 against the rank over Q of the integer design
+    for d in range(1, 9):
+        n_star = critical_sample_count(d)
+        primes = prime_vandermonde_data(d, 2).inputs[1:]
+        nodes = [int(v) for v in oracles.tensorize_loop(primes)[0]]
+        for n in (max(n_star - 1, 1), n_star, n_star + 2):
+            exact = oracles.exact_rank_rational([[v ** t for v in nodes] for t in range(n)])
+            report = prime_vandermonde_span(d, n)
+            assert report.rank == exact == min(n, n_star)
+            assert report.spans == (n >= n_star)
+            assert report.threshold is report.sigma_min is report.sigma_max is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), k=st.integers(1, 5), r=st.integers(1, 5))
+def test_rank_mod_matches_rational_rank(data, n, k, r):
+    # products A B of rank at most r; every minor stays far below 2^61 - 1,
+    # so the rank modulo it must equal the rank over Q
+    entry = st.integers(-3, 3)
+    A = np.array(data.draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=n, max_size=n)))
+    B = np.array(data.draw(st.lists(st.lists(entry, min_size=k, max_size=k), min_size=r, max_size=r)))
+    M = (A @ B).tolist()
+    residues = [[int(v) % SPAN_MODULUS for v in row] for row in M]
+    assert _rank_mod(residues, SPAN_MODULUS) == oracles.exact_rank_rational(M)
 
 
 def test_prime_design_numerical_span():

@@ -1,22 +1,11 @@
 import json
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from quadland import Gaussian, TeacherModel, label_dataset, sample_dataset
-from quadland.io import (
-    SCHEMA_VERSION,
-    read_dataset,
-    read_jsonl,
-    read_matrix,
-    write_dataset,
-    write_jsonl,
-    write_manifest,
-    write_matrix,
-)
+from quadland.io import SCHEMA_VERSION, write_jsonl, write_manifest, write_matrix
 
 
 @settings(max_examples=25, deadline=None)
@@ -30,7 +19,7 @@ from quadland.io import (
 def test_matrix_round_trip_is_exact(tmp_path_factory, M):
     path = tmp_path_factory.mktemp("mat") / "m.csv"
     write_matrix(path, M)
-    back = read_matrix(path)
+    back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     assert back.shape == M.shape
     assert np.array_equal(back, M)
 
@@ -51,32 +40,11 @@ def test_matrix_header_line(tmp_path):
     assert first == "# rows=3 cols=2"
 
 
-def test_dataset_round_trip_with_labels(tmp_path):
-    teacher = TeacherModel(np.eye(3))
-    data = label_dataset(sample_dataset(Gaussian(1.0), 7, 3, seed=42), teacher)
-    path = tmp_path / "data.csv"
-    write_dataset(path, data)
-    back = read_dataset(path)
-    assert np.array_equal(back.inputs, data.inputs)
-    assert np.array_equal(back.labels, data.labels)
-    assert back.distribution_tag == data.distribution_tag
-    assert back.seed == data.seed
-
-
-def test_dataset_round_trip_unlabeled(tmp_path):
-    data = sample_dataset(Gaussian(1.0), 4, 2, seed=1)
-    path = tmp_path / "data.csv"
-    write_dataset(path, data)
-    back = read_dataset(path)
-    assert back.labels is None
-    assert np.array_equal(back.inputs, data.inputs)
-
-
 def test_jsonl_round_trip(tmp_path):
     rows = [{"a": 1, "b": [1.5, None]}, {"a": 2, "b": "x"}]
     path = tmp_path / "r.jsonl"
     write_jsonl(path, rows)
-    assert read_jsonl(path) == rows
+    assert [json.loads(line) for line in path.read_text().splitlines()] == rows
 
 
 def test_manifest_schema_and_timestamp_isolation(tmp_path):
@@ -93,7 +61,3 @@ def test_manifest_schema_and_timestamp_isolation(tmp_path):
     m1.pop("timestamp"), m2.pop("timestamp")
     assert m1 == m2
 
-
-def test_read_matrix_missing_file_raises(tmp_path):
-    with pytest.raises(OSError):
-        read_matrix(tmp_path / "nope.csv")
