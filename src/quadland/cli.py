@@ -34,6 +34,7 @@ from .geometry import (
     prime_vandermonde_data,
     prime_vandermonde_span,
     recover_gram_discrepancy,
+    span_sweep,
     spans_symmetric,
 )
 from .initialization import (
@@ -358,8 +359,9 @@ def _cmd_geometry_check(cfg: dict[str, Any]) -> dict[str, Any]:
     write_matrix(out / "design_inputs.csv", dataset.inputs)
     summary: dict[str, Any] = {"span": report.to_json(), "n_star": critical_sample_count(d)}
     if certificate is not None:
+        # distinct nodes make the design Vandermonde: its rank is min(n, N*)
         summary["certificate"] = certificate
-        summary["agreement"] = bool(certificate["distinct"] == report.spans)
+        summary["agreement"] = certificate["distinct"] and report.rank == min(n, summary["n_star"])
     return summary
 
 
@@ -369,13 +371,12 @@ def _cmd_sample_complexity(cfg: dict[str, Any]) -> dict[str, Any]:
     dist = parse_distribution(cfg["dist"])
     counts = [n_star - 1, n_star] if n_star > 1 else [n_star]
 
-    rows = []
-    for trial in range(cfg["trials"]):
-        for n in counts:
-            report = spans_symmetric(sample_dataset(dist, n, d, cfg["seed"] + trial))
-            rows.append(
-                {"trial": trial, "n": n, "spans": report.spans, "rank": report.rank}
-            )
+    ranks = span_sweep(dist, d, counts, cfg["trials"], cfg["seed"]).tolist()
+    rows = [
+        {"trial": trial, "n": n, "spans": rank == n_star, "rank": rank}
+        for trial, trial_ranks in enumerate(ranks)
+        for n, rank in zip(counts, trial_ranks)
+    ]
     out = _out_dir(cfg)
     write_jsonl(out / "results.jsonl", rows)
     fractions = {

@@ -101,9 +101,14 @@ def label_dataset(dataset: Dataset, teacher: TeacherModel) -> Dataset:
         labels = dataset.design.gram_forms(_absorbed(teacher))
     else:
         labels = forward_batch(teacher, dataset.inputs)
-    return Dataset(
+    labeled = Dataset(
         inputs=dataset.inputs,
         labels=labels,
         distribution_tag=dataset.distribution_tag,
         seed=dataset.seed,
     )
+    if "design" in vars(dataset):
+        # the inputs are equal and frozen, so the design built for the labels
+        # serves the labeled dataset too; cached_property stores it the same way
+        vars(labeled)["design"] = dataset.design
+    return labeled

@@ -20,18 +20,22 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import Dataset, label_dataset
+from .data import Dataset, label_dataset, sample_dataset
 from .errors import ContractViolation, InvalidArgument
 from .landscape import _require_full_rank_teacher, embed_gram
 from .model import (
     RANK_RTOL,
+    Distribution,
     Moments,
     StudentWeights,
     TeacherModel,
     TensorizedDesign,
+    _chunks,
+    _equilibrate,
     _sym_coordinates,
     _sym_decode,
     _sym_encode,
+    _tensorized,
     absorb_output_weights,
     gram,
 )
@@ -91,27 +95,60 @@ class SpanReport:
         return asdict(self)
 
 
+def _span_rank(s: np.ndarray, n: int, dimension: int):
+    """The span test's rank rule: rank and threshold of N x D designs from
+    the descending singular values of their equilibrated forms, over the
+    last axis of s. The rank counts the values above
+    1e-10 * sigma_max * max(N, D), with sigma_max = 0 for an empty design."""
+    threshold = RANK_RTOL * np.max(s, axis=-1, initial=0.0) * max(n, dimension)
+    return np.count_nonzero(s > threshold[..., None], axis=-1), threshold
+
+
 def spans_symmetric(dataset: Dataset | np.ndarray) -> SpanReport:
     """Whether span{X_i X_i^T} is all of the symmetric matrices.
 
     Equivalent to rank(Xi) = d(d+1)/2. The rank is computed on the
-    equilibrated design with threshold 1e-10 * sigma_max * max(N, D), from
-    the singular values the design caches, so a dataset pays one SVD.
+    equilibrated design by _span_rank, from the singular values the design
+    caches, so a dataset pays one SVD.
     """
     design = tensorize(dataset)
     s = design.span_singular_values
-    sigma_max = float(s[0]) if s.size else 0.0
-    threshold = RANK_RTOL * sigma_max * max(design.n, design.dimension)
-    rank = int(np.count_nonzero(s > threshold))
+    rank, threshold = _span_rank(s, design.n, design.dimension)
     return SpanReport(
-        rank=rank,
-        spans=rank == design.dimension,
+        rank=int(rank),
+        spans=bool(rank == design.dimension),
         dimension=design.dimension,
         n=design.n,
-        threshold=threshold,
+        threshold=float(threshold),
         sigma_min=float(s[-1]) if s.size else 0.0,
-        sigma_max=sigma_max,
+        sigma_max=float(s[0]) if s.size else 0.0,
     )
+
+
+def span_sweep(
+    distribution: Distribution, d: int, counts: list[int], trials: int, seed: int
+) -> np.ndarray:
+    """Span ranks of random designs: entry [t, j] is
+    spans_symmetric(sample_dataset(distribution, counts[j], d, seed + t)).rank,
+    bit for bit, for every trial t < trials.
+
+    The trials run in chunks (model._chunks keeps each stacked design
+    within 120 KiB). For each count, a chunk's inputs are stacked,
+    tensorized and equilibrated together and take one batched SVD; the rank
+    rule is spans_symmetric's.
+    """
+    if trials < 1:
+        raise InvalidArgument("need at least one trial")
+    dimension = critical_sample_count(d)
+    ranks = np.empty((trials, len(counts)), dtype=np.intp)
+    for chunk in _chunks(trials, max(counts) * dimension):
+        for j, n in enumerate(counts):
+            inputs = np.array(
+                [sample_dataset(distribution, n, d, seed + t).inputs for t in chunk]
+            )
+            s = np.linalg.svd(_equilibrate(_tensorized(inputs)), compute_uv=False)
+            ranks[chunk.start:chunk.stop, j] = _span_rank(s, n, dimension)[0]
+    return ranks
 
 
 # --------------------------------------------------------------------------

@@ -21,13 +21,21 @@ from .model import (
     Moments,
     StudentWeights,
     TeacherModel,
+    _chunks,
+    _gram_matrix,
     _rank_of,
     _symmetric,
     absorb_output_weights,
     gram,
     is_full_rank,
 )
-from .risk import population_gradient, population_risk_of
+from .risk import (
+    _check_sandwich,
+    _population_terms,
+    _require_square_activation,
+    population_gradient,
+    population_risk_of,
+)
 
 SWEEP_SUBSTREAM_BASE = 1000
 
@@ -138,6 +146,8 @@ def embed_gram(gram_matrix: np.ndarray, target_rows: int) -> StudentWeights:
     below; eigenvalues in [-PSD_CLAMP, 0) are clamped to zero.
     """
     g = _symmetric(gram_matrix, "gram")
+    if g.ndim != 2:
+        raise InvalidArgument("gram must be square")
     d = g.shape[0]
     if target_rows < d:
         raise InvalidArgument(f"need at least {d} rows to factor a {d}x{d} gram")
@@ -241,16 +251,46 @@ def rank_deficient_sweep(
     teacher: TeacherModel, moments: Moments, trials: int, seed: int
 ) -> SweepResult:
     """Falsification harness: no random rank-deficient student may dip
-    below the barrier. Raises if one does."""
+    below the barrier. Raises if one does.
+
+    Trial t is the student sample_rank_deficient draws from substream
+    SWEEP_SUBSTREAM_BASE + t, and its risk is population_risk_of's, bit for
+    bit. The trials run in chunks on stacked arrays (model._chunks keeps
+    each temporary within 120 KiB): per trial one draw of the factor's and
+    the projection's uniforms, then for the chunk one ndtri, one batched
+    factor @ projection, one batched Gram and one closed-form risk. The
+    checks are the per-student ones: finite weights, a discrepancy
+    symmetric to 1e-12, the square activation, and the sandwich bounds,
+    whose violation names its trial. The minimizing trial is then rebuilt
+    by sample_rank_deficient and scored by population_risk_of, and that
+    risk is checked against the barrier.
+    """
     if trials < 1:
         raise InvalidArgument("need at least one trial")
     barrier = energy_barrier(teacher, moments, "population")
-    risks = []
-    for trial in range(trials):
-        gen = _rng.stream(seed, SWEEP_SUBSTREAM_BASE + trial)
-        student = sample_rank_deficient(teacher, gen)
-        risks.append(population_risk_of(student, teacher, moments).value)
-    min_risk = float(min(risks))
+    m, d = teacher.m, teacher.d
+    if d < 2:
+        raise InvalidArgument("rank-deficient students need d >= 2")
+    _require_square_activation(teacher)
+    g_star = gram(teacher)
+    split = m * (d - 1)  # the factor's entries come first in each draw
+    count = split + (d - 1) * d
+    risks: list[float] = []
+    for chunk in _chunks(trials, max(count, m * d)):
+        base = SWEEP_SUBSTREAM_BASE + chunk.start
+        z = _rng.substream_normals(seed, range(base, base + len(chunk)), count)
+        weights = z[:, :split].reshape(-1, m, d - 1) @ z[:, split:].reshape(-1, d - 1, d)
+        if not np.isfinite(weights).all():
+            raise InvalidArgument("weights must be finite")
+        a = _symmetric(g_star - _gram_matrix(weights), "discrepancy")
+        value, lower, upper = _population_terms(a, moments)
+        _check_sandwich(value, lower, upper, first_trial=chunk.start)
+        risks += value.tolist()
+    # the verdict rests on the minimizing student, rebuilt and scored by the
+    # per-trial path, which gives the same value
+    trial = risks.index(min(risks))
+    student = sample_rank_deficient(teacher, _rng.stream(seed, SWEEP_SUBSTREAM_BASE + trial))
+    min_risk = population_risk_of(student, teacher, moments).value
     if min_risk < barrier - 1e-9:
         raise ContractViolation(
             f"rank-deficient student with risk {min_risk:.6e} below barrier {barrier:.6e}"

@@ -77,14 +77,16 @@ def _frozen_array(obj, values, name):
 
 
 def _symmetric(values, noun: str) -> np.ndarray:
-    """Square matrix symmetric to 1e-12 relative, returned exactly symmetrized."""
+    """Square matrix, or stack (..., d, d) of them, each symmetric to 1e-12
+    relative to its own largest entry, returned exactly symmetrized."""
     a = np.atleast_2d(np.asarray(values, dtype=float))
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.shape[-1] != a.shape[-2]:
         raise InvalidArgument(f"{noun} must be square")
-    scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    if float(np.abs(a - a.T).max(initial=0.0)) > 1e-12 * scale:
+    at = a.swapaxes(-1, -2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(-2, -1), initial=0.0))
+    if np.count_nonzero(np.abs(a - at).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise InvalidArgument(f"{noun} must be symmetric to 1e-12 relative")
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + at)
 
 
 def _format_param(x: float) -> str:
@@ -410,7 +412,8 @@ Network = TeacherModel | StudentWeights
 
 @dataclass(frozen=True)
 class Discrepancy:
-    """Teacher Gram minus student Gram, A = (W*)^T W* - W^T W."""
+    """Teacher Gram minus student Gram, A = (W*)^T W* - W^T W, or a stack
+    (..., d, d) of them."""
 
     matrix: np.ndarray
 
@@ -419,7 +422,7 @@ class Discrepancy:
 
     @property
     def d(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 def _activation_of(model: Network) -> tuple[float, float, float]:
@@ -508,17 +511,48 @@ def _sym_decode(v: np.ndarray, d: int) -> np.ndarray:
     return (v / _pair_weights(d))[_sym_index(d)]
 
 
+def _tensorized(X: np.ndarray) -> np.ndarray:
+    """Rows (X_i(k) X_i(l)) over the symmetric coordinates, for inputs X of
+    shape (..., N, d): the plain design, or a stack of designs."""
+    rows, cols = _sym_coordinates(X.shape[-1])
+    return X[..., rows] * X[..., cols]
+
+
 def _equilibrate(xi: np.ndarray, passes: int = EQUILIBRATION_PASSES) -> np.ndarray:
-    """Iterated row and column normalization. Scaling by positive diagonals
-    never changes the rank but collapses the enormous dynamic range of
-    power-law designs, without which float64 SVD cannot see full rank."""
-    E = xi.astype(float, copy=True)
+    """Iterated row and column normalization of a design, or of a stack
+    (..., N, D) of designs, along axes -1 and -2. Scaling by positive
+    diagonals never changes the rank but collapses the enormous dynamic
+    range of power-law designs, without which float64 SVD cannot see full
+    rank.
+
+    The copy is C-ordered: numpy sums a row norm pairwise and a column norm
+    row by row in that layout, for one design and for a stack alike, so a
+    stacked design equilibrates to the same bits as the design alone.
+    """
+    E = np.array(xi, dtype=float, order="C")
     for _ in range(passes):
-        rn = np.linalg.norm(E, axis=1, keepdims=True)
+        rn = np.linalg.norm(E, axis=-1, keepdims=True)
         E /= np.where(rn > 0, rn, 1.0)
-        cn = np.linalg.norm(E, axis=0, keepdims=True)
+        cn = np.linalg.norm(E, axis=-2, keepdims=True)
         E /= np.where(cn > 0, cn, 1.0)
     return E
+
+
+# Stacked trial sweeps (landscape.rank_deficient_sweep, geometry.span_sweep)
+# take their trials in chunks whose largest temporary holds at most this many
+# floats: 120 KiB, below glibc's initial 128 KiB mmap threshold. A larger
+# block is mapped afresh on every allocation, and freeing one raises the
+# threshold for the rest of the process, which changes how every later
+# temporary is allocated; a whole sweep stacked at once would also hold
+# megabytes that the per-trial loop never did.
+_STACK_FLOATS = 15 << 10
+
+
+def _chunks(count: int, floats_each: int) -> list[range]:
+    """Consecutive ranges covering range(count), each so short that a stack
+    of floats_each floats per member fits in _STACK_FLOATS."""
+    step = max(1, _STACK_FLOATS // floats_each)
+    return [range(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 class TensorizedDesign:
@@ -537,7 +571,7 @@ class TensorizedDesign:
         self.n, self.d = X.shape
         w = _pair_weights(self.d)
         self.rows, self.cols = _sym_coordinates(self.d)
-        raw = X[:, self.rows] * X[:, self.cols]
+        raw = _tensorized(X)
         # BLAS rounding depends on memory order: xi is a C-ordered copy and
         # xi_w keeps raw's order, which keeps every artifact byte-stable.
         self.xi = _read_only(np.array(raw, order="C"))
@@ -590,9 +624,10 @@ def gram(model_or_weights) -> np.ndarray:
 
 
 def _gram_matrix(w: np.ndarray) -> np.ndarray:
-    """W^T W of a raw weight matrix, exactly symmetric."""
-    g = w.T @ w
-    return 0.5 * (g + g.T)
+    """W^T W of a raw weight matrix, or of each in a stack (..., m, d),
+    exactly symmetric."""
+    g = w.swapaxes(-1, -2) @ w
+    return 0.5 * (g + g.swapaxes(-1, -2))
 
 
 def discrepancy(teacher: TeacherModel, student: StudentWeights) -> Discrepancy:

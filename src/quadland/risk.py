@@ -22,6 +22,7 @@ O(N d(d+1)/2 + m d^2), never the N x m matrix of neuron pre-activations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +44,16 @@ from .model import (
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Risk value with optional sandwich bounds."""
+    """Risk value with optional sandwich bounds: floats for one discrepancy,
+    arrays over the leading shape of a stack of them."""
 
-    value: float
-    lower_bound: float | None = None
-    upper_bound: float | None = None
+    value: float | np.ndarray
+    lower_bound: float | np.ndarray | None = None
+    upper_bound: float | np.ndarray | None = None
 
     def __post_init__(self):
-        bounded = self.lower_bound is not None and self.upper_bound is not None
-        if bounded and np.isfinite(self.value):  # an overflowed value is reported as is
-            slack = 1e-9 * max(1.0, abs(self.value))
-            if not (self.lower_bound - slack <= self.value <= self.upper_bound + slack):
-                raise ContractViolation(
-                    f"bounds violated: {self.lower_bound} <= {self.value} <= {self.upper_bound}"
-                )
+        if self.lower_bound is not None and self.upper_bound is not None:
+            _check_sandwich(self.value, self.lower_bound, self.upper_bound)
 
     def to_json(self) -> dict:
         return {
@@ -64,6 +61,29 @@ class RiskReport:
             "lower": self.lower_bound,
             "upper": self.upper_bound,
         }
+
+
+def _check_sandwich(value, lower, upper, first_trial: int = 0) -> None:
+    """Raise ContractViolation unless lower <= value <= upper, to 1e-9
+    relative, wherever the value is finite (an overflowed value is reported
+    as is). For one float the comparison stays in Python floats; over a
+    stack it is vectorized, and the message names the first violating trial
+    of a flat stack, counted from first_trial."""
+    if not isinstance(value, np.ndarray):
+        if not math.isfinite(value):
+            return
+        slack = 1e-9 * max(1.0, abs(value))
+        if not (lower - slack <= value <= upper + slack):
+            raise ContractViolation(f"bounds violated: {lower} <= {value} <= {upper}")
+        return
+    slack = 1e-9 * np.maximum(1.0, np.abs(value))
+    outside = ~((lower - slack <= value) & (value <= upper + slack)) & np.isfinite(value)
+    if outside.any():
+        i = int(np.argmax(outside.reshape(-1)))
+        lo, v, hi = (float(np.reshape(x, -1)[i]) for x in (lower, value, upper))
+        raise ContractViolation(
+            f"bounds violated at trial {first_trial + i}: {lo} <= {v} <= {hi}"
+        )
 
 
 def _require_labeled(dataset: Dataset) -> None:
@@ -101,18 +121,34 @@ def empirical_gradient(student: StudentWeights, dataset: Dataset) -> np.ndarray:
     return _raw_empirical_gradient(W, design, _residuals(W, design, dataset.labels))
 
 
-def population_risk(disc: Discrepancy | np.ndarray, moments: Moments) -> RiskReport:
-    """Closed-form E[(X^T A X)^2] with lower and upper sandwich bounds."""
-    if not isinstance(disc, Discrepancy):
-        disc = Discrepancy(disc)
-    A = disc.matrix
-    tr = float(np.trace(A))
-    tr_sq = float(np.sum(A * A))            # tr(A^2) for symmetric A
-    diag_sq = float(np.sum(np.diag(A) ** 2))  # tr(A o A), the Hadamard square
+def _population_terms(A: np.ndarray, moments: Moments):
+    """Closed-form risk, lower and upper bound of each symmetric A in a stack
+    (..., d, d), as arrays over its leading shape (numpy scalars for one
+    matrix).
+
+    Every reduction runs over one matrix at a time in the order numpy takes
+    for a lone matrix, so an entry of a stack equals, bit for bit, the value
+    of its matrix alone.
+    """
+    tr = A.trace(axis1=-2, axis2=-1)
+    tr_sq = (A * A).sum(axis=(-2, -1))  # tr(A^2) for symmetric A
+    diag_sq = (A.diagonal(axis1=-2, axis2=-1) ** 2).sum(axis=-1)  # tr(A o A)
     mu2, mu4 = moments.mu2, moments.mu4
     value = mu2 * mu2 * tr * tr + 2.0 * mu2 * mu2 * tr_sq + (mu4 - 3.0 * mu2 * mu2) * diag_sq
     lower = mu2 * mu2 * tr * tr + moments.c_lower * tr_sq
     upper = mu2 * mu2 * tr * tr + moments.c_upper * tr_sq
+    return value, lower, upper
+
+
+def population_risk(disc: Discrepancy | np.ndarray, moments: Moments) -> RiskReport:
+    """Closed-form E[(X^T A X)^2] with lower and upper sandwich bounds, for
+    one discrepancy A (float fields) or a stack (..., d, d) of them (array
+    fields over the leading shape, each entry equal to its matrix's alone)."""
+    if not isinstance(disc, Discrepancy):
+        disc = Discrepancy(disc)
+    value, lower, upper = _population_terms(disc.matrix, moments)
+    if disc.matrix.ndim == 2:
+        value, lower, upper = float(value), float(lower), float(upper)
     return RiskReport(value=value, lower_bound=lower, upper_bound=upper)
 
 

@@ -11,8 +11,16 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import quadland.landscape
-from quadland import moments_of, parse_distribution, rank_deficient_sweep, sample_teacher
+from quadland import (
+    moments_of,
+    parse_distribution,
+    rank_deficient_sweep,
+    sample_dataset,
+    sample_teacher,
+    spans_symmetric,
+)
 from quadland.cli import _OPTIONS, main
+from quadland.model import TensorizedDesign
 
 
 def read_json(path: Path) -> dict:
@@ -52,6 +60,22 @@ def test_sample_complexity_example(tmp_path):
     assert summary["spans_fraction"]["5"] == 0.0
 
 
+def test_sample_complexity_rows_match_spans_symmetric(tmp_path):
+    # the CLI reads geometry.span_sweep; every row must be the span report of
+    # the dataset that trial draws
+    assert main(["sample-complexity", "--d", "4", "--trials", "30", "--seed", "3",
+                 "--dist", "uniform(2)", "--out", str(tmp_path)]) == 0
+    rows = [json.loads(line) for line in (tmp_path / "results.jsonl").read_text().splitlines()]
+    law = parse_distribution("uniform(2)")
+    want = []
+    for trial in range(30):
+        for n in (9, 10):
+            report = spans_symmetric(sample_dataset(law, n, 4, 3 + trial))
+            want.append({"trial": trial, "n": n, "spans": report.spans, "rank": report.rank})
+    assert rows == want
+    assert read_json(tmp_path / "summary.json")["spans_fraction"] == {"9": 0.0, "10": 1.0}
+
+
 def test_barrier_scan_example(tmp_path):
     code = main(
         ["barrier-scan", "--d", "3", "--m", "8", "--trials", "500",
@@ -81,6 +105,16 @@ def test_geometry_check_prime_certificate(tmp_path):
         assert summary["span"]["sigma_min"] is None
         assert summary["certificate"]["distinct"] is True
         assert summary["agreement"] is True
+
+
+def test_geometry_check_prime_below_critical_count(tmp_path):
+    # N = 4 < N* = 6 prime samples span a 4-dimensional subspace, which is
+    # what the Vandermonde certificate predicts: min(n, N*) = 4
+    assert main(["geometry-check", "--d", "3", "--N", "4", "--out", str(tmp_path)]) == 0
+    summary = read_json(tmp_path / "summary.json")
+    assert summary["span"]["rank"] == 4 and summary["span"]["spans"] is False
+    assert summary["certificate"]["distinct"] is True
+    assert summary["agreement"] is True
 
 
 def test_recovery_summary(tmp_path):
@@ -126,6 +160,26 @@ def test_recovery_takes_one_span_svd(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     assert main(["recovery", "--d", "4", "--m", "16", "--out", str(tmp_path)]) == 0
     assert calls == [(30, 10)]
+
+
+def test_each_dataset_is_tensorized_once(tmp_path, monkeypatch):
+    # the design built for the labels is handed to the labeled dataset, which
+    # descent and recovery then read
+    builds = []
+    init = TensorizedDesign.__init__
+
+    def counting_init(self, X):
+        builds.append(np.shape(X))
+        init(self, X)
+
+    monkeypatch.setattr(TensorizedDesign, "__init__", counting_init)
+    for k, args in enumerate([
+        ["gd-run", "--d", "3", "--m", "36", "--N", "30"],
+        ["recovery", "--d", "4", "--m", "16"],
+    ]):
+        builds.clear()
+        assert main(args + ["--out", str(tmp_path / str(k))]) == 0
+        assert len(builds) == 1, (args, builds)
 
 
 def test_jobs_flag_does_not_change_output(tmp_path):

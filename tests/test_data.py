@@ -38,6 +38,17 @@ def test_uniforms_are_the_53_bit_integers_scaled_exactly():
     assert np.array_equal(_rng.standard_normal(_rng.stream(5, 1), shape), ndtri(want))
 
 
+def test_substream_normals_are_each_substreams_own_draws():
+    # the one re-keyed generator must start every row where a fresh stream
+    # starts, at both ends of the 64-bit seed and substream ranges
+    for seed, substreams, count in [(0, range(1000, 1013), 22), (2 ** 64 - 1, range(5, 7), 1),
+                                    (7, range(2 ** 64 - 3, 2 ** 64), 9)]:
+        want = np.array([_rng.standard_normal(_rng.stream(seed, s), count) for s in substreams])
+        assert np.array_equal(_rng.substream_normals(seed, substreams, count), want)
+    with pytest.raises(InvalidArgument, match="64 unsigned bits"):
+        _rng.substream_normals(0, range(2 ** 64 - 1, 2 ** 64 + 1), 3)
+
+
 def test_rademacher_entries_are_signs():
     data = sample_dataset(Rademacher(), 200, 4, seed=1)
     assert set(np.unique(data.inputs)) <= {-1.0, 1.0}

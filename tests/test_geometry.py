@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadland.model
 from quadland import (
     Dataset,
     Gaussian,
     InvalidArgument,
+    Rademacher,
     StudentWeights,
     TeacherModel,
+    Uniform,
     critical_sample_count,
     empirical_risk,
     gram,
@@ -22,6 +25,7 @@ from quadland import (
     quadform,
     recover_gram_discrepancy,
     sample_dataset,
+    span_sweep,
     spans_symmetric,
     sym_matrix,
     sym_vector,
@@ -108,6 +112,35 @@ def test_spans_true_at_critical_count():
     data = sample_dataset(Gaussian(1.0), 3, 2, seed=0)
     report = spans_symmetric(data)
     assert report.spans and report.rank == 3
+
+
+@pytest.mark.parametrize(
+    "law, d, trials",
+    [
+        (Gaussian(1.0), 1, 4),
+        (Gaussian(1.0), 2, 5),
+        (Uniform(1.0), 5, 7),
+        (Rademacher(), 4, 6),  # sign data: rank-deficient at N* as well
+        (Gaussian(3.0), 8, 25),  # chunks of 11, 11, 3
+    ],
+)
+def test_span_sweep_equals_spans_symmetric_per_dataset(law, d, trials):
+    n_star = critical_sample_count(d)
+    counts = [n_star - 1, n_star, n_star + 3] if n_star > 1 else [1, 3]
+    ranks = span_sweep(law, d, counts, trials, seed=9)
+    want = [
+        [spans_symmetric(sample_dataset(law, n, d, 9 + t)).rank for n in counts]
+        for t in range(trials)
+    ]
+    assert np.array_equal(ranks, want)
+
+
+def test_span_sweep_across_forced_chunks(monkeypatch):
+    monkeypatch.setattr(quadland.model, "_STACK_FLOATS", 500)  # 2 trials per chunk
+    ranks = span_sweep(Gaussian(1.0), 3, [5, 6, 7], 5, seed=0)
+    want = [[spans_symmetric(sample_dataset(Gaussian(1.0), n, 3, t)).rank for n in (5, 6, 7)]
+            for t in range(5)]
+    assert np.array_equal(ranks, want)
 
 
 def test_spans_duplicated_rows_rank_one():

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import quadland.landscape
+import quadland.model
 from quadland import (
     ContractViolation,
     DegenerateDistribution,
@@ -23,6 +27,8 @@ from quadland import (
     truncated_moments,
     worst_rank_deficient,
 )
+from quadland import _rng
+from quadland.landscape import SWEEP_SUBSTREAM_BASE, sample_rank_deficient
 from quadland.model import numerical_rank, rank_tolerance
 
 import reference_values as ref
@@ -271,3 +277,83 @@ def test_sublevel_norm_bound_holds_for_teacher_itself():
     teacher = random_teacher(5, 3)
     frob = np.linalg.norm(teacher.weights)
     assert frob <= sublevel_norm_bound(0.0, teacher, GAUSS)
+
+
+# --- stacked sweep against the per-trial path -------------------------------
+
+
+def per_trial_risks(teacher, moments, trials, seed):
+    """The sweep's reference: one stream, one student, one risk per trial."""
+    return np.array([
+        population_risk_of(
+            sample_rank_deficient(teacher, _rng.stream(seed, SWEEP_SUBSTREAM_BASE + t)),
+            teacher,
+            moments,
+        ).value
+        for t in range(trials)
+    ])
+
+
+@pytest.mark.parametrize(
+    "m, d, law, output_weights, trials, stack_floats",
+    [
+        (5, 2, Gaussian(1.0), False, 1600, None),  # chunks of 1536 + 64
+        (8, 3, Uniform(1.7), False, 1300, None),  # 640 + 640 + 20
+        (9, 4, Gaussian(2.0), True, 37, 100),  # 18 chunks of 2, then 1
+        (12, 9, Uniform(0.5), True, 23, 700),  # d >= 8: pairwise sums; 5 x 4 + 3
+    ],
+)
+def test_sweep_matches_per_trial_loop(
+    monkeypatch, m, d, law, output_weights, trials, stack_floats
+):
+    if stack_floats is not None:
+        monkeypatch.setattr(quadland.model, "_STACK_FLOATS", stack_floats)
+    gen = np.random.default_rng(m * d)
+    a = gen.uniform(0.5, 2.0, m) if output_weights else None
+    teacher = TeacherModel(gen.standard_normal((m, d)) + 2 * np.eye(m, d), output_weights=a)
+    count = m * (d - 1) + (d - 1) * d
+    chunks = quadland.model._chunks(trials, max(count, m * d))
+    assert len(chunks) > 1 and len(chunks[-1]) < len(chunks[0])
+    moments = moments_of(law)
+    sweep = rank_deficient_sweep(teacher, moments, trials, seed=4)
+    ref_risks = per_trial_risks(teacher, moments, trials, 4)
+    assert np.array_equal(np.array(sweep.risks), ref_risks)
+    assert sweep.min_risk_found == ref_risks.min()
+
+
+def test_sweep_names_first_trial_outside_sandwich(monkeypatch):
+    # raise the lower bound above the risk at trials 7 and 9: the check is
+    # vectorized over each chunk and must still name trial 7
+    monkeypatch.setattr(quadland.model, "_STACK_FLOATS", 72)  # 3 trials per chunk
+    terms = quadland.landscape._population_terms
+    seen = []
+
+    def broken_terms(a, moments):
+        value, lower, upper = terms(a, moments)
+        first = sum(seen)
+        seen.append(len(value))
+        bad = [t - first for t in (7, 9) if first <= t < first + len(value)]
+        lower = lower.copy()
+        lower[bad] = value[bad] * 2.0 + 1.0
+        return value, lower, upper
+
+    monkeypatch.setattr(quadland.landscape, "_population_terms", broken_terms)
+    with pytest.raises(ContractViolation, match="bounds violated at trial 7:"):
+        rank_deficient_sweep(random_teacher(8, 3), GAUSS, trials=12, seed=0)
+    assert seen == [3, 3, 3]
+
+
+def test_sweep_memory_stays_within_one_chunk():
+    # 20000 trials at m = 8, d = 3: the weights alone would take 3.8 MB if
+    # stacked at once; chunked, the peak is the output (a list and a tuple of
+    # 20000 floats, about 0.8 MB) plus one chunk's temporaries
+    teacher = random_teacher(8, 3)
+    rank_deficient_sweep(teacher, GAUSS, trials=2, seed=0)  # one-off caches
+    tracemalloc.start()
+    try:
+        sweep = rank_deficient_sweep(teacher, GAUSS, trials=20000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sweep.risks) == 20000
+    assert peak < 2 * 2 ** 20

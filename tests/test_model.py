@@ -22,7 +22,18 @@ from quadland import (
     quadform,
     truncated_moments,
 )
-from quadland.model import _gram_certifies_full_rank, _rank_of, is_full_rank, numerical_rank
+from quadland.model import (
+    _STACK_FLOATS,
+    TensorizedDesign,
+    _chunks,
+    _equilibrate,
+    _gram_certifies_full_rank,
+    _gram_matrix,
+    _rank_of,
+    _tensorized,
+    is_full_rank,
+    numerical_rank,
+)
 
 import oracles
 import reference_values as ref
@@ -378,3 +389,39 @@ def test_distribution_sampling_deterministic_per_generator_state(seed):
     a = law.sample(np.random.default_rng(seed), (3, 2))
     b = law.sample(np.random.default_rng(seed), (3, 2))
     assert np.array_equal(a, b)
+
+
+# --- stacked designs ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (3, 5), (3, 6), (8, 35), (8, 36), (8, 50)])
+def test_stacked_equilibrate_equals_single_calls(d, n):
+    # row norms over D >= 8 columns are pairwise sums, column norms over N
+    # rows are sums row by row; the stack must keep both orders per design
+    gen = np.random.default_rng(n)
+    X = gen.standard_normal((4, n, d)) * 10.0 ** gen.integers(-3, 3, (4, n, 1))
+    X[1, 0] = 0.0  # a zero row keeps its zero norm
+    stacked_xi = _tensorized(X)
+    stacked = _equilibrate(stacked_xi)
+    for k in range(4):
+        xi = TensorizedDesign(X[k]).xi
+        assert np.array_equal(stacked_xi[k], xi)
+        assert np.array_equal(stacked[k], _equilibrate(xi))
+    # the tensorized stack is not C-ordered, so this checks the copy's layout
+    assert np.array_equal(_equilibrate(np.asfortranarray(stacked_xi)), stacked)
+
+
+def test_stacked_gram_equals_single_calls():
+    W = rng.standard_normal((5, 9, 4))
+    G = _gram_matrix(W)
+    for k in range(5):
+        assert np.array_equal(G[k], _gram_matrix(W[k]))
+        assert np.array_equal(G[k], G[k].T)
+
+
+def test_chunks_cover_the_range_within_the_float_budget():
+    for count, floats_each in [(1, 10), (2000, 24), (300, 1296), (5, 10 ** 6)]:
+        chunks = _chunks(count, floats_each)
+        assert [t for chunk in chunks for t in chunk] == list(range(count))
+        assert all(len(c) * floats_each <= max(_STACK_FLOATS, floats_each) for c in chunks)
+        assert len(chunks) == -(-count // max(1, _STACK_FLOATS // floats_each))

@@ -237,3 +237,43 @@ def test_risk_report_rejects_inverted_bounds():
 def test_risk_report_serialization_keys():
     report = population_risk(np.eye(2), GAUSS)
     assert set(report.to_json()) == {"value", "lower", "upper"}
+
+
+# --- one formula over a stack -----------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7, 8, 11])
+@pytest.mark.parametrize("law", [Gaussian(1.0), Uniform(1.3)])
+def test_stacked_population_risk_equals_single_calls(d, law):
+    # d >= 8 puts 8 or more terms in the trace and the diagonal sums, where
+    # numpy sums pairwise: the stack must take that order per matrix as well
+    moments = moments_of(law)
+    gen = np.random.default_rng(d)
+    B = gen.standard_normal((3, 4, d, d)) * 10.0 ** gen.integers(-6, 6, (3, 4, 1, 1))
+    stack = B + np.swapaxes(B, -1, -2)
+    report = population_risk(stack, moments)
+    assert report.value.shape == report.lower_bound.shape == (3, 4)
+    for index in np.ndindex(3, 4):
+        single = population_risk(stack[index], moments)
+        assert type(single.value) is float
+        assert single.value == report.value[index]
+        assert single.lower_bound == report.lower_bound[index]
+        assert single.upper_bound == report.upper_bound[index]
+    assert np.array_equal(
+        population_risk(Discrepancy(stack), moments).value, report.value
+    )
+
+
+def test_stacked_population_risk_rejects_one_asymmetric_matrix():
+    stack = np.stack([np.eye(3)] * 4)
+    stack[2, 0, 1] = 1e-6
+    with pytest.raises(InvalidArgument, match="symmetric"):
+        population_risk(stack, GAUSS)
+
+
+def test_stacked_risk_report_names_first_violation():
+    value = np.array([1.0, 5.0, 9.0, 5.0])
+    with pytest.raises(ContractViolation, match="at trial 1: 6.0 <= 5.0 <= 7.0"):
+        RiskReport(value, np.array([0.0, 6.0, 8.0, 6.0]), np.array([2.0, 7.0, 10.0, 7.0]))
+    # an overflowed value is reported as is, as for one matrix
+    RiskReport(np.array([np.inf, 1.0]), np.array([0.0, 0.0]), np.array([1.0, 1.0]))
