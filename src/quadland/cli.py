@@ -243,7 +243,8 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
     d, m = cfg["d"], cfg["m"]
     mhat = cfg["mhat"] if cfg["mhat"] is not None else m
     _require_width(m, d)
-    _require_width(mhat, d)
+    if mhat < d:
+        raise InvalidArgument(f"need student width --mhat >= dimension, got mhat={mhat}, d={d}")
     data_dist = parse_distribution(cfg["dist"])
     teacher_dist = parse_distribution(cfg["teacher_dist"])
     moments = moments_of(data_dist)
@@ -463,22 +464,37 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidArgument(message)
 
 
-def _build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every subcommand name, and the flags of `command` alone: argparse
-    hands the rest of argv to the subcommand its first positional names."""
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    parser.add_argument("--config", default=None, help="flat key = value config file")
+    for opt in _OPTIONS[command]:
+        parser.add_argument(f"--{opt.key}", dest=opt.dest, default=None, help=opt.help)
+
+
+def _parse(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The subcommand and its flags.
+
+    When argv starts with a subcommand, argparse would hand the rest of argv
+    to that subcommand's parser alone, so only that parser is built. Anything
+    else (no command, an unknown one, a leading flag such as -h) goes through
+    the full parser, which lists every subcommand and holds the flags of the
+    first positional alone: the top-level parser takes no value-bearing flag.
+    """
+    if argv and argv[0] in _OPTIONS:
+        parser = _Parser(prog=f"quadland {argv[0]}", allow_abbrev=False)
+        _add_flags(parser, argv[0])
+        return argv[0], parser.parse_args(argv[1:])
+    command = next((a for a in argv if not a.startswith("-")), None)
     parser = _Parser(
         prog="quadland",
         description="teacher-student quadratic-network landscape experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, options in _OPTIONS.items():
+    for name in _OPTIONS:
         p = sub.add_parser(name, allow_abbrev=False)
-        if name != command:
-            continue
-        p.add_argument("--config", default=None, help="flat key = value config file")
-        for opt in options:
-            p.add_argument(f"--{opt.key}", dest=opt.dest, default=None, help=opt.help)
-    return parser
+        if name == command:
+            _add_flags(p, name)
+    ns = parser.parse_args(argv)
+    return ns.command, ns
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -503,16 +519,13 @@ def main(argv: list[str] | None = None) -> int:
 
 def _run(argv: list[str] | None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no value-bearing flag, so its first
-    # positional is the first token without a leading dash
-    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        ns = _build_parser(command).parse_args(argv)
-        cfg = _resolve(ns, _OPTIONS[ns.command])
-        summary = _COMMANDS[ns.command](cfg)
+        command, ns = _parse(argv)
+        cfg = _resolve(ns, _OPTIONS[command])
+        summary = _COMMANDS[command](cfg)
         out = _out_dir(cfg)
         manifest_cfg = {k: v for k, v in cfg.items()}
-        write_manifest(out, ns.command, manifest_cfg)
+        write_manifest(out, command, manifest_cfg)
         write_json(out / "summary.json", summary)
         print(json.dumps(summary, indent=2, sort_keys=True))
         return 0

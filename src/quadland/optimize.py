@@ -274,13 +274,29 @@ def gradient_descent(
     gradient at the rounding floor of the risk ends it as "stalled" (the line
     search finds no step, or the step leaves W bitwise unchanged), and a run
     that stalls before its first step logs a warning.
+
+    Both gradients act row by row (each is W S for a d x d matrix S), so a
+    row of the initial student that is zero gets a zero gradient row and
+    stays exactly 0.0. The loop therefore runs on the r nonzero rows alone:
+    an evaluation costs O(N d(d+1)/2 + r d^2) empirically and O(r d^2) for
+    the population, and r = d for the identity init whatever m is. The
+    m x d matrix is rebuilt, in one buffer, only where its layout shows:
+    the records, the smoothness probe, the gradient norm (a BLAS dot product
+    rounds by where its entries sit) and the final weights.
     """
     obj = build_objective(teacher, data_or_moments)
     barrier, base_moments = _barrier_context(teacher, data_or_moments)
     if initial.d != teacher.d:
         raise InvalidArgument("initial weights do not match the teacher dimension")
 
-    W = initial.weights.copy()
+    rows = np.flatnonzero(initial.weights.any(axis=1))
+    wide = np.zeros_like(initial.weights)
+
+    def widen(block: np.ndarray) -> np.ndarray:
+        wide[rows] = block
+        return wide
+
+    W = initial.weights[rows]
     risk, state = obj.evaluate(W)
     grad = obj.gradient(W, state)
     norm_cap = (
@@ -292,13 +308,15 @@ def gradient_descent(
     records: list[TrajectoryRecord] = []
 
     def record(k: int, eta: float | None) -> None:
-        frob = float(np.linalg.norm(W))
+        W_wide = widen(W)
+        frob = float(np.linalg.norm(W_wide))
+        sigma_min = float(np.linalg.svd(W_wide, compute_uv=False)[-1])
         records.append(
             TrajectoryRecord(
                 iteration=k,
                 risk=risk,
-                grad_norm=float(np.linalg.norm(grad)),
-                sigma_min=float(np.linalg.svd(W, compute_uv=False)[-1]),
+                grad_norm=float(np.linalg.norm(widen(grad))),
+                sigma_min=sigma_min,
                 frob_norm=frob,
                 below_barrier=None if barrier is None else bool(risk < barrier),
                 norm_bound_ok=None if norm_cap is None else bool(frob <= norm_cap + 1e-9),
@@ -314,7 +332,8 @@ def gradient_descent(
     record(0, None)
 
     while True:
-        grad_norm_sq = float(np.vdot(grad, grad))
+        grad_wide = widen(grad)
+        grad_norm_sq = float(np.vdot(grad_wide, grad_wide))
         if not math.isfinite(grad_norm_sq) or not math.isfinite(risk):
             termination = "nonfinite"
             break
@@ -331,7 +350,9 @@ def gradient_descent(
             eta_start = min(_INITIAL_ETA, eta_prev / _SHRINK)
             step = _armijo(obj, W, risk, grad, grad_norm_sq, eta_start)
         else:  # InverseSmoothness
-            step, smoothness = _smoothness_step(obj, W, risk, grad, grad_norm_sq, smoothness)
+            step, smoothness = _smoothness_step(
+                obj, W, risk, grad, grad_norm_sq, smoothness, widen
+            )
         # no acceptable step, or one that leaves W bitwise unchanged: the
         # gradient is at the rounding floor of the risk
         if step is None or (step[1] == W).all():
@@ -363,7 +384,7 @@ def gradient_descent(
         record(k, None)
     return Trajectory(
         records=tuple(records),
-        final_weights=StudentWeights(W),
+        final_weights=StudentWeights(widen(W)),
         termination=termination,
         iterations=k,
         config=config,
@@ -388,10 +409,12 @@ def _armijo(obj, W, risk, grad, grad_norm_sq, eta):
     return None
 
 
-def _smoothness_step(obj, W, risk, grad, grad_norm_sq, smoothness):
+def _smoothness_step(obj, W, risk, grad, grad_norm_sq, smoothness, widen):
+    """Step 1/(_SAFETY L_hat), with L_hat estimated at the m x d point
+    widen(W): the Hessian acts on the zero rows too."""
     for attempt in range(2):
         if smoothness is None or attempt == 1:
-            smoothness = estimate_smoothness(StudentWeights(W), obj)
+            smoothness = estimate_smoothness(StudentWeights(widen(W)), obj)
         if smoothness > 0:
             step = _try_step(obj, W, grad, 1.0 / (_SAFETY * smoothness))
             if math.isfinite(step[2]) and step[2] <= risk + 1e-12 * max(1.0, abs(risk)):

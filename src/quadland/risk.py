@@ -18,6 +18,11 @@ dataset's design, built once and cached on it (Dataset.design, a
 model.TensorizedDesign), and the gradient is W S with
 S = (4/N) sum r_i X_i X_i^T scattered back from Xi^T r. A call costs
 O(N d(d+1)/2 + m d^2), never the N x m matrix of neuron pre-activations.
+
+Both gradients act row by row (the population one is W times a d x d
+matrix too), so a zero row of W has a zero gradient row. Descent uses
+this to run on the r nonzero rows of its initial student alone, where an
+evaluation costs O(N d(d+1)/2 + r d^2), and r = d for the identity init.
 """
 
 from __future__ import annotations

@@ -254,6 +254,11 @@ def test_bad_value_exits_2(tmp_path, capsys):
     assert "seeds" in capsys.readouterr().err
     assert main(["gd-run", "--init-scale", "identity", "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: bad value for --init-scale: 'identity'\n"
+    argv = ["gd-run", "--d", "3", "--m", "36", "--N", "30", "--mhat", "2"]
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: need student width --mhat >= dimension, got mhat=2, d=3\n"
+    )
     for tag in ("gaussian(abc)", "uniform(x)"):
         assert main(["init-check", "--dist", tag, "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quadland import (
+    Backtracking,
     ContractViolation,
     Dataset,
     FixedStep,
@@ -338,6 +339,151 @@ def test_descent_builds_no_per_call_wrappers(monkeypatch, payload):
     # a constant count, not one per risk or gradient evaluation
     assert calls["StudentWeights"] <= 2
     assert calls["forward_batch"] == 0
+
+
+# --- descent on the nonzero rows -------------------------------------------
+
+
+def reference_descent(initial, teacher, payload, config):
+    """The Backtracking or FixedStep loop on the whole m x d matrix, written
+    from build_objective's closures and the module's line-search constants:
+    (iteration, risk, grad_norm, sigma_min, frob_norm, step_size) per record,
+    the final weights and the termination."""
+    from quadland.optimize import _INITIAL_ETA, _SHRINK, _SLOPE, _STALL_ETA
+
+    obj = build_objective(teacher, payload)
+    W = initial.weights.copy()
+    risk, state = obj.evaluate(W)
+    grad = obj.gradient(W, state)
+    records = []
+
+    def record(k, eta):
+        records.append((k, risk, float(np.linalg.norm(grad)),
+                        float(np.linalg.svd(W, compute_uv=False)[-1]),
+                        float(np.linalg.norm(W)), eta))
+
+    def trial(eta):
+        W_new = W - eta * grad
+        if not np.isfinite(W_new).all():
+            return W_new, np.inf, None
+        return (W_new, *obj.evaluate(W_new))
+
+    record(0, None)
+    k, eta = 0, _INITIAL_ETA
+    while True:
+        g2 = float(np.vdot(grad, grad))
+        if not (np.isfinite(g2) and np.isfinite(risk)):
+            termination = "nonfinite"
+            break
+        if np.sqrt(g2) <= config.grad_tol:
+            termination = "grad_tol"
+            break
+        if k >= config.max_iters:
+            termination = "max_iters"
+            break
+        if isinstance(config.step_policy, FixedStep):
+            eta = config.step_policy.eta
+            W_new, risk_new, state = trial(eta)
+        else:
+            eta = min(_INITIAL_ETA, eta / _SHRINK)
+            while eta > _STALL_ETA:
+                W_new, risk_new, state = trial(eta)
+                if np.isfinite(risk_new) and risk_new <= risk - _SLOPE * eta * g2:
+                    break
+                eta *= _SHRINK
+            else:
+                termination = "stalled"
+                break
+        if (W_new == W).all():
+            termination = "stalled"
+            break
+        if not np.isfinite(risk_new):
+            termination = "nonfinite"
+            break
+        W, risk = W_new, risk_new
+        grad = obj.gradient(W, state)
+        k += 1
+        if k % config.record_every == 0:
+            record(k, eta)
+    if records[-1][0] != k:
+        record(k, None)
+    return records, W, termination
+
+
+def record_tuples(traj):
+    return [(r.iteration, r.risk, r.grad_norm, r.sigma_min, r.frob_norm, r.step_size)
+            for r in traj.records]
+
+
+@pytest.mark.parametrize("policy", [Backtracking(), FixedStep(2e-4)])
+@pytest.mark.parametrize("payload", ["dataset", "moments"])
+def test_descent_matches_full_width_reference_loop(policy, payload):
+    d, m = 3, 36
+    teacher = sample_teacher(DIST, m, d, 1)
+    source = label_dataset(sample_dataset(DIST, 30, d, 1), teacher) if payload == "dataset" else GAUSS
+    config = GDConfig(step_policy=policy, max_iters=400, record_every=7)
+    init = identity_init(m, d, "m")
+    traj = gradient_descent(init, teacher, source, config)
+    records, W, termination = reference_descent(init, teacher, source, config)
+    assert traj.iterations > 20 and len(records) > 3
+    assert (traj.termination, traj.iterations) == (termination, records[-1][0])
+    # bit for bit: every float of every record, and the final weights
+    assert np.array_equal(np.array(record_tuples(traj), dtype=float),
+                          np.array(records, dtype=float), equal_nan=True)
+    assert np.array_equal(traj.final_weights.weights, W)
+
+
+@pytest.mark.parametrize("payload", ["dataset", "moments"])
+def test_identity_init_descent_evaluates_d_by_d_blocks(monkeypatch, payload):
+    from quadland import optimize
+
+    shapes = set()
+    build = optimize.build_objective
+
+    def recording_build(*args):
+        obj = build(*args)
+
+        def evaluate(W):
+            shapes.add(W.shape)
+            return obj.evaluate(W)
+
+        return dataclasses.replace(obj, evaluate=evaluate)
+
+    monkeypatch.setattr(optimize, "build_objective", recording_build)
+    teacher, data, init, config = converged_setup(d=3)
+    traj = gradient_descent(init, teacher, data if payload == "dataset" else GAUSS, config)
+    assert traj.termination == "grad_tol" and traj.iterations > 20
+    assert init.m == 36 and shapes == {(3, 3)}
+    assert traj.final_weights.weights.shape == (36, 3)
+
+
+@pytest.mark.parametrize("payload", ["dataset", "moments"])
+def test_zero_rows_stay_zero_and_leave_the_trajectory_unchanged(payload):
+    d, m, rows = 3, 9, [1, 4, 6]
+    teacher = sample_teacher(DIST, m, d, 2)
+    source = label_dataset(sample_dataset(DIST, 30, d, 2), teacher) if payload == "dataset" else GAUSS
+    block = np.sqrt(m) * np.eye(d) + 0.1 * sample_teacher(DIST, d, d, 3).weights
+    spread = np.zeros((m, d))
+    spread[rows] = block
+    config = GDConfig(max_iters=300, record_every=5)
+    traj = gradient_descent(StudentWeights(spread), teacher, source, config)
+    alone = gradient_descent(StudentWeights(block), teacher, source, config)
+
+    zero = np.setdiff1d(np.arange(m), rows)
+    W = traj.final_weights.weights
+    assert traj.iterations > 20
+    assert np.all(W[zero] == 0.0) and not np.signbit(W[zero]).any()
+    assert np.array_equal(W[rows], alone.final_weights.weights)
+    assert (traj.termination, traj.iterations) == (alone.termination, alone.iterations)
+    assert [(r.iteration, r.risk, r.step_size) for r in traj.records] == [
+        (r.iteration, r.risk, r.step_size) for r in alone.records
+    ]
+    # the norms are taken on each run's own m x d layout, and a BLAS dot
+    # product rounds by where the nonzeros sit, so they agree to rounding
+    for a, b in zip(traj.records, alone.records):
+        assert a.grad_norm == pytest.approx(b.grad_norm, rel=1e-12)
+        assert a.frob_norm == pytest.approx(b.frob_norm, rel=1e-12)
+        assert a.sigma_min == pytest.approx(b.sigma_min, rel=1e-10)
 
 
 def test_config_validation():
