@@ -63,6 +63,10 @@ STUDENT_SUBSTREAM = 3
 
 _MOMENT_BAND_REL = 0.1  # "close to semicircle" means within 10% of 1/4
 
+# Most float64 entries one numpy array can hold: its size in bytes must fit
+# in a signed pointer-sized integer.
+_MAX_FLOATS = np.iinfo(np.intp).max // 8
+
 
 # --------------------------------------------------------------------------
 # option resolution: flags > config file > QUADLAND_SEED > defaults
@@ -234,6 +238,21 @@ def _require_width(m: int, d: int) -> None:
         raise InvalidArgument(f"need width >= dimension, got m={m}, d={d}")
 
 
+def _require_addressable(cfg: dict[str, Any], key: str, floats: int) -> None:
+    """Reject, before any sampling, a size flag whose array (floats entries)
+    numpy cannot hold."""
+    if floats > _MAX_FLOATS:
+        raise InvalidArgument(
+            f"--{key} {cfg[key]} is too large: it sizes an array of {floats} floats, "
+            f"more than the {_MAX_FLOATS} numpy can hold"
+        )
+
+
+def _size_key(cfg: dict[str, Any]) -> str:
+    """The flag that sets the sample count: --N when given, else --d."""
+    return "N" if cfg["N"] is not None else "d"
+
+
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
@@ -245,6 +264,10 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
     _require_width(m, d)
     if mhat < d:
         raise InvalidArgument(f"need student width --mhat >= dimension, got mhat={mhat}, d={d}")
+    _require_addressable(cfg, "m", m * d)
+    _require_addressable(cfg, "mhat", mhat * d)
+    if cfg["objective"] == "empirical":
+        _require_addressable(cfg, "N", cfg["N"] * critical_sample_count(d))
     data_dist = parse_distribution(cfg["dist"])
     teacher_dist = parse_distribution(cfg["teacher_dist"])
     moments = moments_of(data_dist)
@@ -304,6 +327,8 @@ def _cmd_gd_run(cfg: dict[str, Any]) -> dict[str, Any]:
 def _cmd_barrier_scan(cfg: dict[str, Any]) -> dict[str, Any]:
     d, m = cfg["d"], cfg["m"]
     _require_width(m, d)
+    _require_addressable(cfg, "m", m * d)
+    _require_addressable(cfg, "trials", cfg["trials"])
     moments = moments_of(parse_distribution(cfg["dist"]))
     teacher = sample_teacher(parse_distribution(cfg["teacher_dist"]), m, d, cfg["seed"])
     sweep = rank_deficient_sweep(teacher, moments, cfg["trials"], cfg["seed"])
@@ -325,6 +350,7 @@ def _cmd_barrier_scan(cfg: dict[str, Any]) -> dict[str, Any]:
 def _cmd_init_check(cfg: dict[str, Any]) -> dict[str, Any]:
     d, m = cfg["d"], cfg["m"]
     _require_width(m, d)
+    _require_addressable(cfg, "m", m * d)
     moments = moments_of(parse_distribution(cfg["dist"]))
     teacher_dist = parse_distribution(cfg["teacher_dist"])
     init = identity_init(m, d, cfg["init_scale"])
@@ -348,6 +374,7 @@ def _cmd_init_check(cfg: dict[str, Any]) -> dict[str, Any]:
 def _cmd_geometry_check(cfg: dict[str, Any]) -> dict[str, Any]:
     d = cfg["d"]
     n = cfg["N"] if cfg["N"] is not None else critical_sample_count(d)
+    _require_addressable(cfg, _size_key(cfg), n * critical_sample_count(d))
     if cfg["source"] == "prime":
         dataset = prime_vandermonde_data(d, n)
         certificate = prime_vandermonde_certificate(d).to_json()
@@ -371,6 +398,8 @@ def _cmd_sample_complexity(cfg: dict[str, Any]) -> dict[str, Any]:
     n_star = critical_sample_count(d)
     dist = parse_distribution(cfg["dist"])
     counts = [n_star - 1, n_star] if n_star > 1 else [n_star]
+    _require_addressable(cfg, "d", n_star * n_star)
+    _require_addressable(cfg, "trials", cfg["trials"] * len(counts))
 
     ranks = span_sweep(dist, d, counts, cfg["trials"], cfg["seed"]).tolist()
     rows = [
@@ -391,6 +420,8 @@ def _cmd_recovery(cfg: dict[str, Any]) -> dict[str, Any]:
     d, m = cfg["d"], cfg["m"]
     _require_width(m, d)
     n = cfg["N"] if cfg["N"] is not None else 3 * critical_sample_count(d)
+    _require_addressable(cfg, "m", m * d)
+    _require_addressable(cfg, _size_key(cfg), n * critical_sample_count(d))
     dist = parse_distribution(cfg["dist"])
     teacher = sample_teacher(parse_distribution("gaussian"), m, d, cfg["seed"])
     gen = _rng.stream(cfg["seed"], STUDENT_SUBSTREAM)
@@ -425,6 +456,7 @@ def _cmd_recovery(cfg: dict[str, Any]) -> dict[str, Any]:
 def _cmd_spectrum(cfg: dict[str, Any]) -> dict[str, Any]:
     d, m = cfg["d"], cfg["m"]
     _require_width(m, d)
+    _require_addressable(cfg, "m", m * d)
     teacher_dist = parse_distribution(cfg["teacher_dist"])
     lo = SEMICIRCLE_SECOND_MOMENT * (1.0 - _MOMENT_BAND_REL)
     hi = SEMICIRCLE_SECOND_MOMENT * (1.0 + _MOMENT_BAND_REL)

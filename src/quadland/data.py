@@ -3,6 +3,8 @@
 Datasets are N x d matrices of i.i.d. draws with i.i.d. centered
 coordinates. Generation is fully determined by (distribution, n, d, seed);
 see _rng for the stream discipline that makes this hold across platforms.
+The rows are drawn in order, so the first n rows of an (n + k)-row draw are
+the n-row draw. Labels are the teacher's outputs ||W* X_i||^2.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import numpy as np
 
 from . import _rng
 from .errors import InvalidArgument
-from .model import (
-    _DEFAULT_ACTIVATION,
-    Distribution,
-    TeacherModel,
-    TensorizedDesign,
-    _absorbed,
-    forward_batch,
-)
+from .model import Distribution, TeacherModel, TensorizedDesign
 
 # Substream IDs so data and teacher draws at the same seed stay independent.
 DATA_SUBSTREAM = 0
@@ -85,25 +80,19 @@ def sample_dataset(distribution: Distribution, n: int, d: int, seed: int) -> Dat
 
 
 def label_dataset(dataset: Dataset, teacher: TeacherModel) -> Dataset:
-    """Attach labels Y_i = f(teacher; X_i).
+    """Attach labels Y_i = ||W* X_i||^2 = X_i^T G* X_i.
 
-    A pure-square teacher labels through the upper coordinates of its
-    output-weighted Gram, Y_i = X_i^T G* X_i, by the same arithmetic that
-    evaluates students (TensorizedDesign.gram_forms), so a student equal to
-    the teacher has exactly zero residual. Other activations label through
-    forward_batch.
+    The labels come through the upper coordinates of the teacher Gram G*, by
+    the same arithmetic that evaluates students (TensorizedDesign.gram_forms),
+    so a student equal to the teacher has exactly zero residual.
     """
     if dataset.d != teacher.d:
         raise InvalidArgument(
             f"dimension mismatch: data d={dataset.d}, teacher d={teacher.d}"
         )
-    if teacher.activation == _DEFAULT_ACTIVATION:
-        labels = dataset.design.gram_forms(_absorbed(teacher))
-    else:
-        labels = forward_batch(teacher, dataset.inputs)
     labeled = Dataset(
         inputs=dataset.inputs,
-        labels=labels,
+        labels=dataset.design.gram_forms(teacher.weights),
         distribution_tag=dataset.distribution_tag,
         seed=dataset.seed,
     )

@@ -36,7 +36,6 @@ from .model import (
     _sym_decode,
     _sym_encode,
     _tensorized,
-    absorb_output_weights,
     gram,
 )
 from .risk import population_risk
@@ -133,20 +132,22 @@ def span_sweep(
     bit for bit, for every trial t < trials.
 
     The trials run in chunks (model._chunks keeps each stacked design
-    within 120 KiB). For each count, a chunk's inputs are stacked,
-    tensorized and equilibrated together and take one batched SVD; the rank
-    rule is spans_symmetric's.
+    within 120 KiB). Each trial draws its max(counts) rows once: the n-row
+    dataset is their first n rows, since sample_dataset draws rows in order.
+    For each count, a chunk's inputs are stacked, tensorized and
+    equilibrated together and take one batched SVD; the rank rule is
+    spans_symmetric's.
     """
     if trials < 1:
         raise InvalidArgument("need at least one trial")
     dimension = critical_sample_count(d)
     ranks = np.empty((trials, len(counts)), dtype=np.intp)
     for chunk in _chunks(trials, max(counts) * dimension):
+        rows = np.array(
+            [sample_dataset(distribution, max(counts), d, seed + t).inputs for t in chunk]
+        )
         for j, n in enumerate(counts):
-            inputs = np.array(
-                [sample_dataset(distribution, n, d, seed + t).inputs for t in chunk]
-            )
-            s = np.linalg.svd(_equilibrate(_tensorized(inputs)), compute_uv=False)
+            s = np.linalg.svd(_equilibrate(_tensorized(rows[:, :n])), compute_uv=False)
             ranks[chunk.start:chunk.stop, j] = _span_rank(s, n, dimension)[0]
     return ranks
 
@@ -290,8 +291,7 @@ def null_interpolator(
     the population risk stays at least c_lower * sigma_min^4.
     """
     delta = _require_full_rank_teacher(teacher) ** 2
-    absorbed = absorb_output_weights(teacher)
-    g_star = gram(absorbed)
+    g_star = gram(teacher)
     d = teacher.d
     if dataset is None:
         direction = np.zeros((d, d))
@@ -380,25 +380,3 @@ def recover_gram_discrepancy(
     m_hat = sym_matrix(sol, dataset.d)
     residual = float(np.linalg.norm(design.xi @ sol - v))
     return RecoveryResult(m_hat=m_hat, residual_norm=residual)
-
-
-@dataclass(frozen=True)
-class CovarianceReport:
-    """Second-moment matrix (1/N) Xi^T Xi of the tensorized samples."""
-
-    sigma_hat: np.ndarray
-    min_eig: float
-    max_eig: float
-
-    def to_json(self) -> dict:
-        return {"min_eig": self.min_eig, "max_eig": self.max_eig}
-
-
-def tensorized_covariance(dataset: Dataset | np.ndarray) -> CovarianceReport:
-    design = tensorize(dataset)
-    sigma = design.xi.T @ design.xi / design.n
-    sigma = 0.5 * (sigma + sigma.T)
-    eigs = np.linalg.eigvalsh(sigma)
-    return CovarianceReport(
-        sigma_hat=sigma, min_eig=float(eigs[0]), max_eig=float(eigs[-1])
-    )

@@ -65,7 +65,7 @@ class SpectrumReport:
 def sample_teacher(
     distribution: Distribution, m: int, d: int, seed: int
 ) -> TeacherModel:
-    """Teacher with i.i.d. entries from the given law, unit output weights."""
+    """Teacher with i.i.d. entries from the given law."""
     if m < d:
         raise InvalidArgument(f"need m >= d, got m={m}, d={d}")
     gen = _rng.stream(seed, TEACHER_SUBSTREAM)

@@ -1,5 +1,5 @@
 """Energy barriers, rank-deficient constructions, and global-optimality
-certificates.
+certificates for the network ||W x||^2 and a planted teacher W*.
 
 No rank-deficient student can push its population risk below
 c_lower * sigma_min(W*)^4 with c_lower = min{mu4 - mu2^2, 2 mu2^2}; the
@@ -25,14 +25,12 @@ from .model import (
     _gram_matrix,
     _rank_of,
     _symmetric,
-    absorb_output_weights,
     gram,
     is_full_rank,
 )
 from .risk import (
     _check_sandwich,
     _population_terms,
-    _require_square_activation,
     population_gradient,
     population_risk_of,
 )
@@ -67,8 +65,8 @@ class BarrierReport:
 
 
 def _require_full_rank_teacher(teacher: TeacherModel) -> float:
-    """Smallest singular value of the absorbed teacher weights, which must
-    have full column rank."""
+    """Smallest singular value of the teacher weights, which must have full
+    column rank."""
     if teacher.m < teacher.d:
         raise InvalidArgument("teacher weights are rank-deficient (m < d)")
     s = teacher.singular_values
@@ -82,7 +80,7 @@ def energy_barrier(teacher: TeacherModel, moments: Moments, mode: str = "populat
 
     Population mode uses c_lower = min{mu4 - mu2^2, 2 mu2^2}; empirical
     mode uses half that constant computed from the truncated moments the
-    caller passes in. The teacher's activation scale alpha enters squared.
+    caller passes in.
     """
     if mode not in ("population", "empirical"):
         raise InvalidArgument(f"unknown barrier mode: {mode!r}")
@@ -91,9 +89,8 @@ def energy_barrier(teacher: TeacherModel, moments: Moments, mode: str = "populat
             "Var(X^2) = 0, the barrier constant vanishes for this law"
         )
     sigma_min = _require_full_rank_teacher(teacher)
-    alpha = teacher.activation[0]
     constant = moments.c_lower if mode == "population" else 0.5 * moments.c_lower
-    return alpha * alpha * constant * sigma_min ** 4
+    return constant * sigma_min ** 4
 
 
 def barrier_report(
@@ -124,9 +121,8 @@ def worst_rank_deficient(teacher: TeacherModel) -> StudentWeights:
     so 1/4 + (m-d) * 3/(4(m-d)) = 1 preserves the Gram exactly.
     """
     _require_full_rank_teacher(teacher)
-    absorbed = absorb_output_weights(teacher)
-    m, d = absorbed.m, absorbed.d
-    lam, Q = np.linalg.eigh(gram(absorbed))
+    m, d = teacher.m, teacher.d
+    lam, Q = np.linalg.eigh(gram(teacher))
     root = np.sqrt(np.clip(lam, 0.0, None))
     root[0] = 0.0  # eigh sorts ascending; drop the smallest direction
     w_bar = (Q * root[None, :]) @ Q.T
@@ -260,10 +256,10 @@ def rank_deficient_sweep(
     the projection's uniforms, then for the chunk one ndtri, one batched
     factor @ projection, one batched Gram and one closed-form risk. The
     checks are the per-student ones: finite weights, a discrepancy
-    symmetric to 1e-12, the square activation, and the sandwich bounds,
-    whose violation names its trial. The minimizing trial is then rebuilt
-    by sample_rank_deficient and scored by population_risk_of, and that
-    risk is checked against the barrier.
+    symmetric to 1e-12, and the sandwich bounds, whose violation names its
+    trial. The minimizing trial is then rebuilt by sample_rank_deficient and
+    scored by population_risk_of, and that risk is checked against the
+    barrier.
     """
     if trials < 1:
         raise InvalidArgument("need at least one trial")
@@ -271,7 +267,6 @@ def rank_deficient_sweep(
     m, d = teacher.m, teacher.d
     if d < 2:
         raise InvalidArgument("rank-deficient students need d >= 2")
-    _require_square_activation(teacher)
     g_star = gram(teacher)
     split = m * (d - 1)  # the factor's entries come first in each draw
     count = split + (d - 1) * d
@@ -301,5 +296,5 @@ def rank_deficient_sweep(
 def sublevel_norm_bound(initial_risk: float, teacher: TeacherModel, moments: Moments) -> float:
     """Norm ceiling sqrt(sqrt(R_0)/mu2 + 3 ||W*||_F^2) for every iterate in
     the initial sublevel set (the factor 3 is (1+eps)/(1-eps) at eps=1/2)."""
-    g = gram(absorb_output_weights(teacher))
+    g = gram(teacher)
     return float(np.sqrt(np.sqrt(max(initial_risk, 0.0)) / moments.mu2 + 3.0 * np.trace(g)))

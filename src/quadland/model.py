@@ -2,13 +2,15 @@
 
 A network with weight matrix W (one row per neuron) computes
 
-    f(W; x) = sum_j a_j * act(<W_j, x>),    act(z) = alpha z^2 + beta z + gamma.
+    f(W; x) = sum_j <W_j, x>^2 = ||W x||^2 = x^T (W^T W) x,
 
-With the default activation z^2 and unit output weights this is ||W x||^2,
-so the function depends on W only through the Gram matrix W^T W. The module
-also holds coordinate-distribution moments (mu2, mu4) and their truncated
-versions, which are the only distributional inputs the closed-form risk
-formulas need.
+so the function depends on W only through the Gram matrix W^T W, and a
+batch of outputs is one product with the tensorized inputs
+(TensorizedDesign.gram_forms). Positive output weights reduce to this
+model, since a z^2 = (sqrt(a) z)^2. The module also holds
+coordinate-distribution moments (mu2, mu4) and their truncated versions,
+which are the only distributional inputs the closed-form risk formulas
+need.
 """
 
 from __future__ import annotations
@@ -16,15 +18,14 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import erf
 
 from . import _rng
-from .errors import DegenerateDistribution, InvalidArgument
+from .errors import InvalidArgument
 
 RANK_RTOL = 1e-10
 
@@ -35,8 +36,6 @@ RANK_RTOL = 1e-10
 GRAM_RANK_RTOL = 1e-8
 
 EQUILIBRATION_PASSES = 5
-
-_DEFAULT_ACTIVATION = (1.0, 0.0, 0.0)
 
 
 def rank_tolerance(sigma_max: float) -> float:
@@ -188,53 +187,7 @@ class Rademacher:
         return gen.integers(0, 2, size=shape).astype(np.float64) * 2.0 - 1.0
 
 
-@dataclass(frozen=True)
-class Custom:
-    """User-supplied law given by exact (mu2, mu4) plus a sampler.
-
-    The sampler must draw from a centered symmetric law; that assumption
-    is documented, not verified. Truncated moments fall back to rejection
-    sampling and report standard errors, since no closed form is known.
-    """
-
-    mu2: float
-    mu4: float
-    sampler: Callable[[np.random.Generator, tuple], np.ndarray] = field(compare=False)
-    name: str = "custom"
-
-    @property
-    def tag(self) -> str:
-        return f"custom({self.name})"
-
-    def moments(self) -> "Moments":
-        return Moments(mu2=self.mu2, mu4=self.mu4)
-
-    def truncated(self, threshold: float, n_samples: int = 10 ** 6, seed: int = 0) -> "Moments":
-        gen = _rng.stream(seed, 0xC0)
-        draws = np.asarray(self.sampler(gen, (n_samples,)), dtype=float)
-        kept = draws[np.abs(draws) <= threshold]
-        if kept.size < 2:
-            raise InvalidArgument(
-                f"no sampled mass on |x| <= {threshold}; cannot truncate {self.tag}"
-            )
-        sq = kept ** 2
-        quart = sq ** 2
-        n = kept.size
-        return Moments(
-            mu2=float(sq.mean()),
-            mu4=float(quart.mean()),
-            mu2_se=float(sq.std(ddof=1) / math.sqrt(n)),
-            mu4_se=float(quart.std(ddof=1) / math.sqrt(n)),
-        )
-
-    def sample(self, gen: np.random.Generator, shape) -> np.ndarray:
-        out = np.asarray(self.sampler(gen, shape), dtype=float)
-        if out.shape != tuple(shape):
-            raise InvalidArgument("custom sampler returned wrong shape")
-        return out
-
-
-Distribution = Gaussian | Uniform | Rademacher | Custom
+Distribution = Gaussian | Uniform | Rademacher
 
 _TAG_RE = re.compile(r"^(?P<name>[a-z_]+)(?:\((?P<arg>[^)]*)\))?$")
 
@@ -280,8 +233,6 @@ class Moments:
 
     mu2: float
     mu4: float
-    mu2_se: float = 0.0
-    mu4_se: float = 0.0
 
     def __post_init__(self):
         if not (self.mu2 > 0 and math.isfinite(self.mu2) and math.isfinite(self.mu4)):
@@ -311,11 +262,11 @@ def moments_of(distribution: Distribution) -> Moments:
     return distribution.moments()
 
 
-def truncated_moments(distribution: Distribution, threshold: float, **kwargs) -> Moments:
+def truncated_moments(distribution: Distribution, threshold: float) -> Moments:
     """Conditional moments of X given |X| <= threshold."""
     if not (threshold > 0):
         raise InvalidArgument("truncation threshold must be positive")
-    return distribution.truncated(threshold, **kwargs)
+    return distribution.truncated(threshold)
 
 
 # --------------------------------------------------------------------------
@@ -325,31 +276,16 @@ def truncated_moments(distribution: Distribution, threshold: float, **kwargs) ->
 
 @dataclass(frozen=True)
 class TeacherModel:
-    """Planted network: weights (m x d), activation triple, output weights."""
+    """Planted network: weights W* (m x d)."""
 
     weights: np.ndarray
-    activation: tuple[float, float, float] = _DEFAULT_ACTIVATION
-    output_weights: np.ndarray | None = None
 
     def __post_init__(self):
         w = _frozen_array(self, np.atleast_2d(self.weights), "weights")
         if w.ndim != 2:
             raise InvalidArgument("weights must be a matrix")
-        m, d = w.shape
         if not np.all(np.isfinite(w)):
             raise InvalidArgument("weights must be finite")
-        act = tuple(float(c) for c in self.activation)
-        if len(act) != 3:
-            raise InvalidArgument("activation must be (alpha, beta, gamma)")
-        if act[0] == 0.0:
-            raise InvalidArgument("activation needs alpha != 0")
-        object.__setattr__(self, "activation", act)
-        if self.output_weights is not None:
-            a = _frozen_array(self, self.output_weights, "output_weights")
-            if a.shape != (m,):
-                raise InvalidArgument("output_weights must have one entry per neuron")
-            if not (np.all(np.isfinite(a)) and np.all(a > 0)):
-                raise InvalidArgument("output_weights must be strictly positive")
 
     @property
     def m(self) -> int:
@@ -373,14 +309,14 @@ class TeacherModel:
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Singular values of the absorbed weights, descending and read-only.
+        """Singular values of the weights, descending and read-only.
 
         A full SVD of the m x d weights, so it runs only when a caller needs
         sigma_min (the energy barrier and its report) or when the Gram
         eigenvalues cannot decide the rank. Computed once per teacher; the
         weights are frozen, so the cache cannot go stale.
         """
-        s = np.linalg.svd(absorb_output_weights(self).weights, compute_uv=False)
+        s = np.linalg.svd(self.weights, compute_uv=False)
         s.setflags(write=False)
         return s
 
@@ -407,9 +343,6 @@ class StudentWeights:
         return self.weights.shape[1]
 
 
-Network = TeacherModel | StudentWeights
-
-
 @dataclass(frozen=True)
 class Discrepancy:
     """Teacher Gram minus student Gram, A = (W*)^T W* - W^T W, or a stack
@@ -423,40 +356,6 @@ class Discrepancy:
     @property
     def d(self) -> int:
         return self.matrix.shape[-1]
-
-
-def _activation_of(model: Network) -> tuple[float, float, float]:
-    return model.activation if isinstance(model, TeacherModel) else _DEFAULT_ACTIVATION
-
-
-def _output_weights_of(model: Network) -> np.ndarray | None:
-    return model.output_weights if isinstance(model, TeacherModel) else None
-
-
-def forward(model: Network, x: np.ndarray) -> float:
-    """Network output sum_j a_j (alpha <W_j,x>^2 + beta <W_j,x> + gamma)."""
-    w = model.weights
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != w.shape[1]:
-        raise InvalidArgument(f"input has dimension {x.shape[0]}, weights expect {w.shape[1]}")
-    alpha, beta, gamma = _activation_of(model)
-    z = w @ x
-    vals = alpha * z * z + beta * z + gamma
-    a = _output_weights_of(model)
-    return float(vals.sum() if a is None else a @ vals)
-
-
-def forward_batch(model: Network, X: np.ndarray) -> np.ndarray:
-    """Vectorized forward over the rows of X (N x d)."""
-    w = model.weights
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != w.shape[1]:
-        raise InvalidArgument(f"inputs have dimension {X.shape[1]}, weights expect {w.shape[1]}")
-    alpha, beta, gamma = _activation_of(model)
-    Z = X @ w.T
-    vals = alpha * Z * Z + beta * Z + gamma
-    a = _output_weights_of(model)
-    return vals.sum(axis=1) if a is None else vals @ a
 
 
 # --------------------------------------------------------------------------
@@ -587,7 +486,7 @@ class TensorizedDesign:
         return self.xi_w @ A[self.rows, self.cols]
 
     def gram_forms(self, w: np.ndarray) -> np.ndarray:
-        """X_i^T (w^T w) X_i: the outputs of a pure-square network with raw weights w."""
+        """X_i^T (w^T w) X_i: the outputs of the network with weights w."""
         return self.xi_w @ (w.T @ w)[self.rows, self.cols]
 
     def moment(self, r: np.ndarray) -> np.ndarray:
@@ -609,18 +508,12 @@ def quadform(X: np.ndarray, A: np.ndarray) -> np.ndarray:
     return TensorizedDesign(X).forms(A)
 
 
-def _absorbed(model_or_weights) -> np.ndarray:
-    """Raw weights with any output weights folded in: row j is sqrt(a_j) W_j."""
-    if isinstance(model_or_weights, (TeacherModel, StudentWeights)):
-        w = model_or_weights.weights
-        a = _output_weights_of(model_or_weights)
-        return w if a is None else w * np.sqrt(a)[:, None]
-    return np.atleast_2d(np.asarray(model_or_weights, dtype=float))
-
-
 def gram(model_or_weights) -> np.ndarray:
-    """Output-weighted Gram matrix sum_j a_j W_j W_j^T (d x d, symmetric)."""
-    return _gram_matrix(_absorbed(model_or_weights))
+    """Gram matrix W^T W = sum_j W_j W_j^T (d x d, symmetric) of a network
+    or of a raw weight matrix."""
+    if isinstance(model_or_weights, (TeacherModel, StudentWeights)):
+        return _gram_matrix(model_or_weights.weights)
+    return _gram_matrix(np.atleast_2d(np.asarray(model_or_weights, dtype=float)))
 
 
 def _gram_matrix(w: np.ndarray) -> np.ndarray:
@@ -631,25 +524,7 @@ def _gram_matrix(w: np.ndarray) -> np.ndarray:
 
 
 def discrepancy(teacher: TeacherModel, student: StudentWeights) -> Discrepancy:
-    """A = Gram(teacher) - Gram(student); output weights enter the teacher Gram."""
+    """A = Gram(teacher) - Gram(student)."""
     if teacher.d != student.d:
         raise InvalidArgument(f"dimension mismatch: teacher d={teacher.d}, student d={student.d}")
     return Discrepancy(gram(teacher) - gram(student))
-
-
-def absorb_output_weights(model: TeacherModel) -> TeacherModel:
-    """Fold output weights into the rows: row j becomes sqrt(a_j) W_j.
-
-    Valid because a z^2 = (sqrt(a) z)^2. The affine activation terms do not
-    commute with row scaling, so absorption requires beta = gamma = 0.
-    """
-    if model.output_weights is None:
-        return model  # frozen, so sharing it is safe and skips a weight copy
-    if np.all(model.output_weights == 1.0):
-        return TeacherModel(model.weights, model.activation, None)
-    alpha, beta, gamma = model.activation
-    if beta != 0.0 or gamma != 0.0:
-        raise InvalidArgument(
-            "cannot absorb output weights under affine activation terms"
-        )
-    return TeacherModel(_absorbed(model), model.activation, None)

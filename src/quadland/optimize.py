@@ -24,7 +24,6 @@ import numpy as np
 from . import _rng
 from .data import Dataset
 from .errors import ContractViolation, InvalidArgument, NonfiniteValue, QuadlandError
-from .geometry import recover_gram_discrepancy, spans_symmetric
 from .landscape import energy_barrier, sublevel_norm_bound
 from .model import (
     Moments,
@@ -32,7 +31,6 @@ from .model import (
     TeacherModel,
     _gram_matrix,
     gram,
-    is_full_rank,
     moments_of,
     parse_distribution,
     truncated_moments,
@@ -41,10 +39,7 @@ from .risk import (
     _raw_empirical_gradient,
     _raw_population_gradient,
     _residuals,
-    _require_square_activation,
-    empirical_risk,
     population_risk,
-    population_risk_of,
 )
 
 logger = logging.getLogger(__name__)
@@ -153,7 +148,6 @@ def build_objective(teacher: TeacherModel, data_or_moments: Dataset | Moments) -
         )
     if isinstance(data_or_moments, Moments):
         moments = data_or_moments
-        _require_square_activation(teacher)
         Gs, zero = gram(teacher), np.zeros((teacher.d, teacher.d))
 
         def evaluate(W):
@@ -421,68 +415,3 @@ def _smoothness_step(obj, W, risk, grad, grad_norm_sq, smoothness, widen):
                 return step, smoothness
     # local estimate failed twice; fall back to a guaranteed Armijo step
     return _armijo(obj, W, risk, grad, grad_norm_sq, _INITIAL_ETA), smoothness
-
-
-# --------------------------------------------------------------------------
-# endpoint reports
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StationarityReport:
-    """What an epsilon-stationary endpoint achieves."""
-
-    epsilon: float
-    empirical_risk: float | None
-    population_risk: float
-    gram_gap: float
-    gram_gap_source: str  # "recovered" | "direct"
-    endpoint_full_rank: bool
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "empirical_risk": self.empirical_risk,
-            "population_risk": self.population_risk,
-            "gram_gap": self.gram_gap,
-            "gram_gap_source": self.gram_gap_source,
-            "endpoint_full_rank": self.endpoint_full_rank,
-        }
-
-
-def epsilon_stationarity_report(
-    trajectory: Trajectory,
-    teacher: TeacherModel,
-    dataset: Dataset | None,
-    moments: Moments,
-) -> StationarityReport:
-    """Risk and Gram gap of a gradient-tolerance endpoint.
-
-    When the dataset spans the symmetric matrices the Gram gap is taken
-    from residual-based recovery, which never reads the teacher weights;
-    otherwise it is the direct Frobenius gap.
-    """
-    if trajectory.termination != "grad_tol":
-        raise InvalidArgument(
-            f"endpoint is not epsilon-stationary (termination: {trajectory.termination})"
-        )
-    W = trajectory.final_weights
-    full_rank = W.m >= W.d and is_full_rank(W.weights)
-    emp = None
-    gap_source = "direct"
-    gap = float(np.linalg.norm(gram(W) - gram(teacher)))
-    if dataset is not None and dataset.labeled:
-        emp = empirical_risk(W, dataset)
-        if spans_symmetric(dataset).spans:
-            rec = recover_gram_discrepancy(dataset, W, teacher)
-            gap = float(np.linalg.norm(rec.m_hat))
-            gap_source = "recovered"
-    pop = population_risk_of(W, teacher, moments).value
-    return StationarityReport(
-        epsilon=trajectory.config.grad_tol,
-        empirical_risk=emp,
-        population_risk=pop,
-        gram_gap=gap,
-        gram_gap_source=gap_source,
-        endpoint_full_rank=bool(full_rank),
-    )

@@ -1,7 +1,7 @@
 """Empirical and population risks with exact gradients.
 
-For the pure square activation the residual against a planted teacher is
-the quadratic form X^T A X with A = (W*)^T W* - W^T W, and the population
+The residual against a planted teacher is the quadratic form X^T A X with
+A = (W*)^T W* - W^T W, and the population
 risk has the closed form
 
     L(W) = mu2^2 tr(A)^2 + 2 mu2^2 tr(A^2) + (mu4 - 3 mu2^2) sum_k A_kk^2,
@@ -40,7 +40,6 @@ from .model import (
     StudentWeights,
     TeacherModel,
     TensorizedDesign,
-    _DEFAULT_ACTIVATION,
     _gram_matrix,
     discrepancy,
     gram,
@@ -157,19 +156,10 @@ def population_risk(disc: Discrepancy | np.ndarray, moments: Moments) -> RiskRep
     return RiskReport(value=value, lower_bound=lower, upper_bound=upper)
 
 
-def _require_square_activation(teacher: TeacherModel) -> None:
-    if teacher.activation != _DEFAULT_ACTIVATION:
-        raise InvalidArgument(
-            "population formulas assume the pure square activation; "
-            "rescale weights to absorb alpha first"
-        )
-
-
 def population_risk_of(
     student: StudentWeights, teacher: TeacherModel, moments: Moments
 ) -> RiskReport:
     """Population risk of a student against a planted teacher."""
-    _require_square_activation(teacher)
     return population_risk(discrepancy(teacher, student), moments)
 
 
@@ -198,7 +188,6 @@ def population_gradient(
 
     with G = W^T W, G* the teacher Gram, D/D* their diagonal parts.
     """
-    _require_square_activation(teacher)
     if teacher.d != student.d:
         raise InvalidArgument(f"dimension mismatch: teacher d={teacher.d}, student d={student.d}")
     W = student.weights

@@ -11,18 +11,16 @@ import numpy as np
 from scipy import integrate
 
 
-def forward_loop(weights, x, activation=(1.0, 0.0, 0.0), output_weights=None):
-    """Network output by a plain double loop over neurons and coordinates."""
-    alpha, beta, gamma = activation
+def forward_loop(weights, x):
+    """Network output sum_j <W_j, x>^2 by a plain double loop over neurons
+    and coordinates."""
     m, d = weights.shape
-    if output_weights is None:
-        output_weights = [1.0] * m
     total = 0.0
     for j in range(m):
         z = 0.0
         for k in range(d):
             z += weights[j, k] * x[k]
-        total += output_weights[j] * (alpha * z * z + beta * z + gamma)
+        total += z * z
     return total
 
 

@@ -42,10 +42,8 @@ HAND_RISK_1D = 8.5
 # --- energy barrier ------------------------------------------------------
 # Barrier constant for unit-variance laws: min{mu4 - mu2^2, 2 mu2^2}.
 # Gaussian: min{2, 2} = 2. Teacher = I_d has sigma_min = 1, so the
-# population barrier is 2. Scaling the activation by alpha multiplies the
-# barrier by alpha^2: alpha = 3 gives 18.
+# population barrier is 2.
 BARRIER_IDENTITY_GAUSSIAN = 2.0
-BARRIER_IDENTITY_GAUSSIAN_ALPHA3 = 18.0
 # Teacher diag(2, 1) embedded in m = 5 rows: sigma_min = 1, barrier 2.
 BARRIER_DIAG21_GAUSSIAN = 2.0
 

@@ -18,14 +18,11 @@ from quadland import (
     StudentWeights,
     TeacherModel,
     Uniform,
-    absorb_output_weights,
     certify_stationary_global,
     check_init_below_barrier,
     critical_sample_count,
     empirical_gradient,
     empirical_risk,
-    energy_barrier,
-    forward,
     gradient_descent,
     gram,
     identity_init,
@@ -253,21 +250,3 @@ def test_12_identity_init_and_wishart_spectrum():
         if band < 95:
             shortfalls.append(f"d={d}: extremes inside band {band}/100 < 95")
     assert not shortfalls, "; ".join(shortfalls)
-
-
-def test_13_activation_scaling_and_absorption():
-    rng = np.random.default_rng(13)
-    w = rng.normal(size=(5, 3))
-    plain = TeacherModel(w)
-    scaled = TeacherModel(w, activation=(3.0, 1.0, -2.0))
-    b_plain = energy_barrier(plain, GAUSS, "population")
-    b_scaled = energy_barrier(scaled, GAUSS, "population")
-    assert abs(b_scaled - 9.0 * b_plain) <= 1e-12 * max(1.0, abs(b_scaled))
-
-    weighted = TeacherModel(w, output_weights=rng.uniform(0.5, 2.0, size=5))
-    folded = absorb_output_weights(weighted)
-    assert folded.output_weights is None
-    for _ in range(100):
-        x = rng.normal(size=3)
-        a, b = forward(weighted, x), forward(folded, x)
-        assert abs(a - b) <= 1e-12 * max(1.0, abs(a))

@@ -281,6 +281,19 @@ def test_bad_value_exits_2(tmp_path, capsys):
         assert main(argv + ["--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "--eta" in err and len(err.splitlines()) == 1
+    # sizes whose arrays numpy cannot hold are rejected before any sampling
+    big = "18446744073709551615"
+    too_large = ("is too large: it sizes an array of {} floats, "
+                 "more than the 1152921504606846975 numpy can hold")
+    for argv, flag, floats in (
+        (["gd-run", "--d", "2", "--m", "4", "--N", big], "N", 3 * int(big)),
+        (["recovery", "--N", big], "N", 6 * int(big)),
+        (["geometry-check", "--source", "random", "--N", big], "N", 6 * int(big)),
+        (["sample-complexity", "--d", "2", "--trials", big], "trials", 2 * int(big)),
+        (["spectrum", "--d", "2", "--m", big], "m", 2 * int(big)),
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: --{flag} {big} {too_large.format(floats)}\n"
     assert not (tmp_path / "manifest.json").exists()
 
 

@@ -8,8 +8,8 @@ from quadland import (
     InvalidArgument,
     Rademacher,
     TeacherModel,
+    Uniform,
     empirical_risk,
-    forward_batch,
     label_dataset,
     parse_distribution,
     sample_dataset,
@@ -18,6 +18,17 @@ from quadland import _rng
 from quadland.model import StudentWeights
 
 import oracles
+
+
+@pytest.mark.parametrize("law", [Gaussian(1.0), Uniform(2.0), Rademacher()])
+@pytest.mark.parametrize("n, k", [(1, 1), (5, 1), (35, 1), (9, 27)])
+def test_rows_are_drawn_in_order(law, n, k):
+    # an n-row dataset is the first n rows of the (n + k)-row draw at its
+    # seed, which lets span_sweep draw each trial once for all its counts
+    for d in (1, 3, 8):
+        short = sample_dataset(law, n, d, seed=17).inputs
+        long = sample_dataset(law, n + k, d, seed=17).inputs
+        assert np.array_equal(short, long[:n])
 
 
 def test_sampling_is_deterministic():
@@ -84,30 +95,6 @@ def test_labels_match_forward_oracle():
         want = oracles.forward_loop(W, data.inputs[i])
         assert labeled.labels[i] == pytest.approx(want, rel=1e-12)
     assert np.all(labeled.labels >= 0)
-
-
-def test_labels_with_output_weights_match_forward_batch():
-    rng = np.random.default_rng(13)
-    teacher = TeacherModel(
-        rng.standard_normal((6, 3)), output_weights=rng.uniform(0.2, 3.0, size=6)
-    )
-    data = sample_dataset(Gaussian(1.0), 40, 3, seed=6)
-    labeled = label_dataset(data, teacher)
-    want = forward_batch(teacher, data.inputs)
-    assert np.allclose(labeled.labels, want, rtol=1e-12, atol=0)
-
-
-def test_labels_of_affine_activation_teacher_come_from_forward_batch():
-    rng = np.random.default_rng(14)
-    W = rng.standard_normal((4, 3))
-    act = (2.0, -1.0, 0.5)
-    teacher = TeacherModel(W, activation=act)
-    data = sample_dataset(Gaussian(1.0), 10, 3, seed=7)
-    labeled = label_dataset(data, teacher)
-    assert np.array_equal(labeled.labels, forward_batch(teacher, data.inputs))
-    for i in range(10):
-        want = oracles.forward_loop(W, data.inputs[i], act)
-        assert labeled.labels[i] == pytest.approx(want, rel=1e-10)
 
 
 def test_label_dimension_mismatch_rejected():

@@ -30,7 +30,6 @@ from quadland import (
     sym_matrix,
     sym_vector,
     tensorize,
-    tensorized_covariance,
 )
 from quadland.geometry import SPAN_MODULUS, _rank_mod
 
@@ -321,27 +320,3 @@ def test_interpolation_with_span_forces_gram_identity():
     scale = 1.0 + float(np.mean(data.labels ** 2))
     assert empirical_risk(student, data) <= 1e-12 * scale
     assert np.linalg.norm(gram(student) - gram(teacher)) <= 1e-6
-
-
-# --- tensorized covariance ------------------------------------------------
-
-
-def test_covariance_single_unit_sample():
-    report = tensorized_covariance(np.array([[1.0]]))
-    assert np.array_equal(report.sigma_hat, [[1.0]])
-    assert report.min_eig == pytest.approx(1.0)
-
-
-def test_covariance_duplicated_sample_rank_one():
-    x = rng.standard_normal(3)
-    report = tensorized_covariance(np.vstack([x] * 5))
-    eigs = np.linalg.eigvalsh(report.sigma_hat)
-    assert np.sum(eigs > 1e-10 * eigs[-1]) == 1
-
-
-def test_covariance_stable_across_seeds():
-    a = tensorized_covariance(sample_dataset(Gaussian(1.0), 10 ** 5, 3, seed=1))
-    b = tensorized_covariance(sample_dataset(Gaussian(1.0), 10 ** 5, 3, seed=2))
-    assert a.min_eig > 0
-    assert abs(a.min_eig - b.min_eig) <= 0.1 * max(a.min_eig, b.min_eig)
-    assert abs(a.max_eig - b.max_eig) <= 0.1 * max(a.max_eig, b.max_eig)

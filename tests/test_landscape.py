@@ -18,10 +18,10 @@ from quadland import (
     certify_stationary_global,
     embed_gram,
     energy_barrier,
-    forward,
     gram,
     moments_of,
     population_risk_of,
+    quadform,
     rank_deficient_sweep,
     sublevel_norm_bound,
     truncated_moments,
@@ -48,13 +48,6 @@ def test_barrier_identity_teacher_gaussian():
     teacher = TeacherModel(np.eye(3))
     assert energy_barrier(teacher, GAUSS) == pytest.approx(
         ref.BARRIER_IDENTITY_GAUSSIAN, rel=1e-14
-    )
-
-
-def test_barrier_activation_scale_squared():
-    teacher = TeacherModel(np.eye(3), activation=(3.0, 0.0, 0.0))
-    assert energy_barrier(teacher, GAUSS) == pytest.approx(
-        ref.BARRIER_IDENTITY_GAUSSIAN_ALPHA3, rel=1e-14
     )
 
 
@@ -160,11 +153,9 @@ def test_row_split_preserves_forward_values():
     lam, V = np.linalg.eigh(gram(teacher))
     lam[0] = 0.0
     square_root = V @ np.diag(np.sqrt(lam)) @ V.T
-    bar = StudentWeights(square_root)
-    for _ in range(100):
-        x = rng.standard_normal(3)
-        a, b = forward(bar, x), forward(student, x)
-        assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
+    X = rng.standard_normal((100, 3))
+    a, b = quadform(X, gram(square_root)), quadform(X, gram(student))
+    assert np.all(np.abs(a - b) <= 1e-10 * (1.0 + np.abs(a)))
 
 
 def test_worst_rank_deficient_rejects_m_below_d():
@@ -295,7 +286,7 @@ def per_trial_risks(teacher, moments, trials, seed):
 
 
 @pytest.mark.parametrize(
-    "m, d, law, output_weights, trials, stack_floats",
+    "m, d, law, scaled_rows, trials, stack_floats",
     [
         (5, 2, Gaussian(1.0), False, 1600, None),  # chunks of 1536 + 64
         (8, 3, Uniform(1.7), False, 1300, None),  # 640 + 640 + 20
@@ -304,13 +295,15 @@ def per_trial_risks(teacher, moments, trials, seed):
     ],
 )
 def test_sweep_matches_per_trial_loop(
-    monkeypatch, m, d, law, output_weights, trials, stack_floats
+    monkeypatch, m, d, law, scaled_rows, trials, stack_floats
 ):
     if stack_floats is not None:
         monkeypatch.setattr(quadland.model, "_STACK_FLOATS", stack_floats)
     gen = np.random.default_rng(m * d)
-    a = gen.uniform(0.5, 2.0, m) if output_weights else None
-    teacher = TeacherModel(gen.standard_normal((m, d)) + 2 * np.eye(m, d), output_weights=a)
+    w = gen.standard_normal((m, d)) + 2 * np.eye(m, d)
+    if scaled_rows:  # rows of unequal scale, as positive output weights give
+        w = w * np.sqrt(gen.uniform(0.5, 2.0, m))[:, None]
+    teacher = TeacherModel(w)
     count = m * (d - 1) + (d - 1) * d
     chunks = quadland.model._chunks(trials, max(count, m * d))
     assert len(chunks) > 1 and len(chunks[-1]) < len(chunks[0])

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadland import (
-    Custom,
     Gaussian,
     InvalidArgument,
     Moments,
@@ -12,14 +11,13 @@ from quadland import (
     StudentWeights,
     TeacherModel,
     Uniform,
-    absorb_output_weights,
     discrepancy,
-    forward,
-    forward_batch,
     gram,
+    label_dataset,
     moments_of,
     parse_distribution,
     quadform,
+    sample_dataset,
     truncated_moments,
 )
 from quadland.model import (
@@ -42,58 +40,30 @@ rng = np.random.default_rng(20240811)
 
 
 # --- forward map ----------------------------------------------------------
+# The network's outputs ||W x||^2 are the quadratic forms of its Gram.
+
+
+def forward(W, x):
+    return float(quadform(np.atleast_2d(x), gram(W))[0])
 
 
 def test_forward_identity_two_dim():
-    model = TeacherModel(np.eye(2))
-    assert forward(model, np.array([1.0, 1.0])) == ref.IDENTITY_FORWARD_2D
-
-
-def test_forward_zero_weights_gives_m_gamma():
-    m = 4
-    model = TeacherModel(np.zeros((m, 2)), activation=(1.0, 0.0, 2.5))
-    assert forward(model, np.array([3.0, -1.0])) == pytest.approx(m * 2.5)
+    assert forward(np.eye(2), np.array([1.0, 1.0])) == ref.IDENTITY_FORWARD_2D
 
 
 def test_forward_matches_loop_oracle():
     W = rng.standard_normal((3, 2))
     x = np.array([1.0, -1.0])
-    got = forward(StudentWeights(W), x)
+    got = forward(W, x)
     want = oracles.forward_loop(W, x)
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(np.linalg.norm(W @ x) ** 2, rel=1e-12)
 
 
-def test_forward_general_activation_and_output_weights_match_oracle():
-    W = rng.standard_normal((5, 3))
-    a = rng.uniform(0.5, 2.0, size=5)
-    act = (2.0, -1.0, 0.5)
-    model = TeacherModel(W, activation=act, output_weights=a)
-    for _ in range(20):
-        x = rng.standard_normal(3)
-        want = oracles.forward_loop(W, x, act, a)
-        assert forward(model, x) == pytest.approx(want, rel=1e-10)
-
-
-def test_forward_dimension_mismatch_rejected():
-    model = TeacherModel(np.eye(2))
-    with pytest.raises(InvalidArgument):
-        forward(model, np.array([1.0, 2.0, 3.0]))
-
-
-def test_forward_batch_agrees_with_forward():
-    W = rng.standard_normal((4, 3))
-    X = rng.standard_normal((6, 3))
-    student = StudentWeights(W)
-    batch = forward_batch(student, X)
-    for i in range(6):
-        assert batch[i] == pytest.approx(forward(student, X[i]), rel=1e-12)
-
-
 def test_quadform_of_gram_agrees_with_forward_batch():
     W = rng.standard_normal((5, 4))
     X = rng.standard_normal((8, 4))
-    want = forward_batch(StudentWeights(W), X)
+    want = [oracles.forward_loop(W, x) for x in X]
     assert np.allclose(quadform(X, gram(W)), want, rtol=1e-12, atol=0)
 
 
@@ -103,8 +73,8 @@ def test_forward_invariant_under_orthonormal_rotation():
         W = rng.standard_normal((4, 3))
         Q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
         x = rng.standard_normal(3)
-        a = forward(StudentWeights(W), x)
-        b = forward(StudentWeights(Q @ W), x)
+        a = forward(W, x)
+        b = forward(Q @ W, x)
         assert abs(a - b) <= 1e-10 * (1.0 + abs(a))
 
 
@@ -141,54 +111,6 @@ def test_discrepancy_antisymmetric_under_role_swap():
 def test_discrepancy_dimension_mismatch_rejected():
     with pytest.raises(InvalidArgument):
         discrepancy(TeacherModel(np.eye(3)), StudentWeights(np.zeros((3, 2))))
-
-
-# --- output weight absorption ---------------------------------------------
-
-
-def test_absorb_all_ones_is_identity_on_forward():
-    W = rng.standard_normal((3, 2))
-    model = TeacherModel(W)
-    absorbed = absorb_output_weights(model)
-    x = rng.standard_normal(2)
-    assert forward(absorbed, x) == pytest.approx(forward(model, x), rel=1e-12)
-
-
-def test_absorb_scalar_case():
-    model = TeacherModel(np.array([[1.0, 0.0]]), output_weights=np.array([4.0]))
-    absorbed = absorb_output_weights(model)
-    assert np.allclose(absorbed.weights, [[2.0, 0.0]])
-    x = np.array([1.0, 0.0])
-    assert forward(model, x) == pytest.approx(4.0)
-    assert forward(absorbed, x) == pytest.approx(4.0)
-
-
-def test_absorb_preserves_forward_on_random_inputs():
-    W = rng.standard_normal((6, 3))
-    a = rng.uniform(0.1, 3.0, size=6)
-    model = TeacherModel(W, output_weights=a)
-    absorbed = absorb_output_weights(model)
-    for _ in range(100):
-        x = rng.standard_normal(3)
-        v, w = forward(model, x), forward(absorbed, x)
-        assert abs(v - w) <= 1e-12 * (1.0 + abs(v))
-
-
-def test_absorb_preserves_gram():
-    W = rng.standard_normal((6, 3))
-    a = rng.uniform(0.1, 3.0, size=6)
-    model = TeacherModel(W, output_weights=a)
-    weighted = sum(a[j] * np.outer(W[j], W[j]) for j in range(6))
-    assert np.allclose(gram(absorb_output_weights(model)), weighted, atol=1e-12)
-    assert np.allclose(gram(model), weighted, atol=1e-12)
-
-
-def test_absorb_requires_pure_square_activation():
-    model = TeacherModel(
-        np.eye(2), activation=(1.0, 1.0, 0.0), output_weights=np.array([2.0, 2.0])
-    )
-    with pytest.raises(InvalidArgument):
-        absorb_output_weights(model)
 
 
 # --- moments --------------------------------------------------------------
@@ -242,12 +164,6 @@ def test_parse_distribution_tags():
         parse_distribution("cauchy")
 
 
-def test_custom_distribution_carries_declared_moments():
-    law = Custom(mu2=1.0, mu4=2.0, sampler=lambda g, s: g.standard_normal(s))
-    mom = moments_of(law)
-    assert (mom.mu2, mom.mu4) == (1.0, 2.0)
-
-
 # --- truncated moments ----------------------------------------------------
 
 
@@ -286,31 +202,15 @@ def test_truncated_requires_positive_threshold():
         truncated_moments(Gaussian(1.0), 0.0)
 
 
-def test_truncated_custom_estimates_with_standard_error():
-    law = Custom(mu2=1.0, mu4=3.0, sampler=lambda g, s: g.standard_normal(s))
-    mom = truncated_moments(law, 2.0, n_samples=200_000, seed=5)
-    assert mom.mu2_se is not None and mom.mu2_se > 0
-    assert abs(mom.mu2 - ref.TRUNC_GAUSS_K2_MU2) <= 4 * mom.mu2_se
-    assert abs(mom.mu4 - ref.TRUNC_GAUSS_K2_MU4) <= 4 * mom.mu4_se
-
-
 # --- construction contracts -----------------------------------------------
 
 
 def test_wide_teacher_allowed_for_forward_only():
-    # m < d is fine for evaluation; barrier operations reject it separately
+    # m < d is fine for labeling; barrier operations reject it separately
     model = TeacherModel(np.array([[1.0, 0.0, 0.0]]))
-    assert forward(model, np.array([2.0, 0.0, 0.0])) == pytest.approx(4.0)
-
-
-def test_teacher_rejects_zero_leading_activation():
-    with pytest.raises(InvalidArgument):
-        TeacherModel(np.eye(2), activation=(0.0, 1.0, 0.0))
-
-
-def test_teacher_rejects_nonpositive_output_weight():
-    with pytest.raises(InvalidArgument):
-        TeacherModel(np.eye(2), output_weights=np.array([1.0, 0.0]))
+    data = sample_dataset(Gaussian(1.0), 5, 3, seed=0)
+    labels = label_dataset(data, model).labels
+    assert np.allclose(labels, data.inputs[:, 0] ** 2, rtol=1e-12, atol=0)
 
 
 def test_student_rejects_nonfinite_entries():
@@ -371,12 +271,12 @@ def test_gram_rank_rule_agrees_with_singular_values(case, certified, full):
 
 def test_gram_eigenvalues_cached_ascending_and_read_only():
     w = rng.standard_normal((12, 3))
-    teacher = TeacherModel(w, output_weights=np.full(12, 4.0))
+    teacher = TeacherModel(2.0 * w)
     lam = teacher.gram_eigenvalues
     assert lam is teacher.gram_eigenvalues
     assert np.all(np.diff(lam) >= 0)
     assert np.array_equal(lam, np.linalg.eigvalsh(gram(teacher)))
-    # output weights enter as in the absorbed weights the SVD sees
+    # the Gram eigenvalues are the squared singular values the SVD sees
     assert np.allclose(lam[::-1], teacher.singular_values ** 2, rtol=1e-12)
     with pytest.raises(ValueError):
         lam[0] = 0.0

@@ -16,12 +16,10 @@ from quadland import (
     StudentWeights,
     TeacherModel,
     Uniform,
-    absorb_output_weights,
     build_objective,
     certify_stationary_global,
     check_init_below_barrier,
     critical_sample_count,
-    epsilon_stationarity_report,
     estimate_smoothness,
     gradient_descent,
     gram,
@@ -131,10 +129,13 @@ def test_empirical_objective_matches_loop_oracle(d, m, n):
 @pytest.mark.parametrize("output_weights", [None, [0.5, 2.0, 1.0, 3.0]])
 @pytest.mark.parametrize("d,n", [(1, 1), (3, 2), (3, 30)])
 def test_student_equal_to_teacher_has_exactly_zero_residual(d, n, output_weights):
-    teacher = TeacherModel(np.random.default_rng(d + n).standard_normal((4, d)),
-                           output_weights=output_weights)
+    # positive output weights a_j are the network with rows sqrt(a_j) W_j,
+    # since a z^2 = (sqrt(a) z)^2
+    W = np.random.default_rng(d + n).standard_normal((4, d))
+    if output_weights is not None:
+        W = W * np.sqrt(output_weights)[:, None]
+    teacher = TeacherModel(W)
     data = label_dataset(sample_dataset(DIST, n, d, seed=3), teacher)
-    W = absorb_output_weights(teacher).weights
     obj = build_objective(teacher, data)
     risk, r = obj.evaluate(W)
     assert risk == 0.0 and not r.any()
@@ -314,31 +315,21 @@ def test_population_run_with_default_config_reaches_grad_tol():
 
 @pytest.mark.parametrize("payload", ["dataset", "moments"])
 def test_descent_builds_no_per_call_wrappers(monkeypatch, payload):
-    import sys
-
     from quadland import model
 
-    calls = {"StudentWeights": 0, "forward_batch": 0}
-    post_init, forward_batch = model.StudentWeights.__post_init__, model.forward_batch
+    calls = {"StudentWeights": 0}
+    post_init = model.StudentWeights.__post_init__
 
     def counted_post_init(self):
         calls["StudentWeights"] += 1
         post_init(self)
 
-    def counted_forward_batch(*args):
-        calls["forward_batch"] += 1
-        return forward_batch(*args)
-
     teacher, data, init, config = converged_setup()
     monkeypatch.setattr(model.StudentWeights, "__post_init__", counted_post_init)
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "quadland" and getattr(module, "forward_batch", None) is forward_batch:
-            monkeypatch.setattr(module, "forward_batch", counted_forward_batch)
     traj = gradient_descent(init, teacher, data if payload == "dataset" else GAUSS, config)
     assert traj.termination == "grad_tol" and traj.iterations > 20
     # a constant count, not one per risk or gradient evaluation
     assert calls["StudentWeights"] <= 2
-    assert calls["forward_batch"] == 0
 
 
 # --- descent on the nonzero rows -------------------------------------------
@@ -510,53 +501,3 @@ def test_objective_payload_mismatch_rejected():
     for payload in (unlabeled, wrong_d, None, data.inputs, (data, GAUSS)):
         with pytest.raises(InvalidArgument):
             gradient_descent(init, teacher, payload)
-
-
-# --- stationarity report --------------------------------------------------
-
-
-def test_report_tighter_tolerance_lowers_risk():
-    teacher, data, init, _ = converged_setup(grad_tol=1e-6)
-    coarse = gradient_descent(
-        init, teacher, data, GDConfig(grad_tol=1e-6)
-    )
-    fine = gradient_descent(
-        init, teacher, data, GDConfig(grad_tol=1e-7)
-    )
-    r_coarse = epsilon_stationarity_report(coarse, teacher, data, GAUSS)
-    r_fine = epsilon_stationarity_report(fine, teacher, data, GAUSS)
-    assert r_fine.empirical_risk < r_coarse.empirical_risk
-    assert r_fine.population_risk < r_coarse.population_risk
-    assert r_coarse.gram_gap_source == "recovered"
-    assert r_coarse.endpoint_full_rank
-
-
-def test_report_exact_stationary_point_has_tiny_gap():
-    teacher = sample_teacher(DIST, 5, 2, 4)
-    data = label_dataset(sample_dataset(DIST, 15, 2, 4), teacher)
-    traj = gradient_descent(
-        StudentWeights(teacher.weights), teacher, data, GDConfig()
-    )
-    report = epsilon_stationarity_report(traj, teacher, data, GAUSS)
-    assert report.gram_gap <= 1e-8
-
-
-def test_report_flags_rank_deficient_endpoint():
-    # the zero teacher labels everything zero, so the zero student is
-    # stationary yet rank-deficient
-    teacher = TeacherModel(np.array([[0.0]]))
-    data = label_dataset(sample_dataset(DIST, 4, 1, 5), teacher)
-    traj = gradient_descent(
-        StudentWeights(np.array([[0.0]])), teacher, data, GDConfig()
-    )
-    report = epsilon_stationarity_report(traj, teacher, data, GAUSS)
-    assert not report.endpoint_full_rank
-
-
-def test_report_requires_grad_tol_termination():
-    teacher, data, init, _ = converged_setup()
-    traj = gradient_descent(
-        init, teacher, data, GDConfig(grad_tol=1e-12, max_iters=2)
-    )
-    with pytest.raises(InvalidArgument):
-        epsilon_stationarity_report(traj, teacher, data, GAUSS)

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import quadland
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 SRC = SCRIPTS.parent / "src"
 
@@ -21,3 +23,8 @@ def test_studies_run_to_completion():
         )
         assert proc.returncode == 0, (argv[0], proc.stderr)
         assert "Traceback" not in proc.stdout + proc.stderr, argv[0]
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in quadland.__all__ if not hasattr(quadland, name)]
+    assert not missing
